@@ -1,95 +1,11 @@
 #include "host/shard.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "fp/backend.hpp"
 
 namespace xd::host {
-
-namespace {
-
-/// Channel carrying the hop between global chain positions p and p+1.
-/// Within a chassis the two directions have their own RocketIO channel;
-/// a hop crossing a chassis boundary uses the single inter-chassis link
-/// for both directions (they contend, exactly like the projection's
-/// shared RapidArray switch).
-mem::Channel& hop_channel(machine::System& system, unsigned p, bool forward) {
-  const unsigned nodes = system.config().chassis.nodes;
-  const unsigned c = p / nodes;
-  if ((p + 1) % nodes == 0) return system.chassis_link(c);
-  machine::Chassis& ch = system.chassis(c);
-  return forward ? ch.forward_link(p % nodes) : ch.backward_link(p % nodes);
-}
-
-using BusyMap = std::unordered_map<const mem::Channel*, u64>;
-
-/// Drive one store-and-forward leg: tick the channel, moving whole words
-/// greedily, until the panel has crossed AND the analytic duration
-/// ceil(words / rate) has elapsed — so a leg's cost never depends on the
-/// fractional credit a previous leg left behind, and the channel-driven
-/// timing equals model::shard_leg_cycles exactly while the channel's word
-/// and cycle counters record the real traffic. Legs on one channel are
-/// serialized through `busy` (shards are laid out in ascending index
-/// order, which makes the whole timeline deterministic).
-u64 drive_leg(mem::Channel& ch, std::size_t words, u64 ready, BusyMap& busy) {
-  const u64 start = std::max(ready, busy[&ch]);
-  const u64 min_ticks =
-      model::shard_leg_cycles(static_cast<double>(words), ch.rate());
-  std::size_t moved = 0;
-  u64 ticks = 0;
-  while (moved < words || ticks < min_ticks) {
-    ch.tick();
-    ++ticks;
-    while (moved < words && ch.can_transfer(1.0)) {
-      ch.transfer(1.0);
-      ++moved;
-    }
-  }
-  const u64 end = start + ticks;
-  busy[&ch] = end;
-  return end;
-}
-
-/// The serialized scatter/compute/gather timeline over analytic leg costs —
-/// the closed-form twin of the channel-driven loop in run(). Used for
-/// ranking candidate l values (and for GEMM it is exactly
-/// model::shard_gemm_model_cycles, which tests pin against the sim).
-template <class ScatterWords, class GatherWords, class EngineCycles>
-u64 analytic_timeline(unsigned l, unsigned nodes, double fwd_wpc,
-                      double bwd_wpc, double xlink_wpc,
-                      ScatterWords scatter_words, GatherWords gather_words,
-                      EngineCycles engine_cycles) {
-  std::vector<u64> busy(3 * static_cast<std::size_t>(l > 1 ? l - 1 : 1), 0);
-  auto leg = [&](unsigned p, bool forward, double words, u64 ready) {
-    const bool cross = (p + 1) % nodes == 0;
-    const std::size_t key =
-        3 * static_cast<std::size_t>(p) + (cross ? 2 : (forward ? 0 : 1));
-    const double wpc = cross ? xlink_wpc : (forward ? fwd_wpc : bwd_wpc);
-    const u64 end = std::max(busy[key], ready) +
-                    model::shard_leg_cycles(words, wpc);
-    busy[key] = end;
-    return end;
-  };
-  std::vector<u64> done(l, 0);
-  for (unsigned i = 0; i < l; ++i) {
-    u64 t = 0;
-    for (unsigned p = 0; p < i; ++p)
-      t = leg(p, /*forward=*/true, scatter_words(i), t);
-    done[i] = t + engine_cycles(i);
-  }
-  u64 total = done[0];
-  for (unsigned i = 1; i < l; ++i) {
-    u64 t = done[i];
-    for (unsigned p = i; p-- > 0;)
-      t = leg(p, /*forward=*/false, gather_words(i), t);
-    total = std::max(total, t);
-  }
-  return total;
-}
-
-}  // namespace
 
 struct ShardScheduler::EngineParams {
   double clock_mhz = 0.0;
@@ -102,8 +18,9 @@ struct ShardScheduler::EngineParams {
 
 ShardScheduler::ShardScheduler(Runtime& rt, machine::SystemConfig sys)
     : rt_(rt), sys_(std::move(sys)) {
-  require(sys_.chassis_count >= 1, "shard: needs at least one chassis");
-  require(sys_.chassis.nodes >= 1, "shard: needs at least one node");
+  // Counts, link rates and the node clock: a zero rate would make every
+  // leg's ceil(words / rate) infinite.
+  machine::LinkChain::validate(sys_);
 }
 
 ShardScheduler::EngineParams ShardScheduler::resolve_engine(
@@ -150,18 +67,17 @@ ShardScheduler::EngineParams ShardScheduler::resolve_engine(
 u64 ShardScheduler::modeled_total(const OpDesc& desc, unsigned l,
                                   const EngineParams& ep) {
   const double clock_hz = ep.clock_mhz * 1e6;
-  const double fwd =
+  model::ShardChainModel chain;
+  chain.nodes_per_chassis = sys_.chassis.nodes;
+  chain.link_wpc =
       mem::Channel::words_per_cycle_for(sys_.chassis.link_bytes_per_s, clock_hz);
-  const double xlink = mem::Channel::words_per_cycle_for(
+  chain.xlink_wpc = mem::Channel::words_per_cycle_for(
       sys_.interchassis_bytes_per_s, clock_hz);
 
   if (desc.kind == OpKind::Gemm) {
     model::ShardGemmModel m;
     m.l = l;
-    m.nodes_per_chassis = sys_.chassis.nodes;
-    m.fwd_wpc = fwd;
-    m.bwd_wpc = fwd;
-    m.xlink_wpc = xlink;
+    m.chain = chain;
     m.k = ep.k;
     m.engine_l = ep.engine_l;
     m.b = ep.b;
@@ -169,19 +85,14 @@ u64 ShardScheduler::modeled_total(const OpDesc& desc, unsigned l,
     return model::shard_gemm_model_cycles(desc.n, m);
   }
   const double dc = static_cast<double>(desc.cols);
-  return analytic_timeline(
-      l, sys_.chassis.nodes, fwd, fwd, xlink,
-      [&](unsigned i) {
-        return static_cast<double>(model::shard_rows(desc.rows, l, i)) * dc +
-               dc;
-      },
-      [&](unsigned i) {
-        return static_cast<double>(model::shard_rows(desc.rows, l, i));
-      },
-      [&](unsigned i) {
-        return model::gemv_model_cycles(model::shard_rows(desc.rows, l, i),
-                                        desc.cols, ep.k);
-      });
+  std::vector<model::ShardCost> shards(l);
+  for (unsigned i = 0; i < l; ++i) {
+    const std::size_t rows = model::shard_rows(desc.rows, l, i);
+    shards[i] = model::ShardCost{static_cast<double>(rows) * dc + dc,
+                                 model::gemv_model_cycles(rows, desc.cols, ep.k),
+                                 static_cast<double>(rows)};
+  }
+  return model::shard_timeline_cycles(shards, chain);
 }
 
 ShardPlan ShardScheduler::plan(const OpDesc& desc, unsigned forced_l) {
@@ -260,11 +171,11 @@ ShardOutcome ShardScheduler::run(const OpDesc& desc, unsigned forced_l) {
   const unsigned l = out.plan.l;
   const std::size_t inner = desc.kind == OpKind::Gemm ? desc.n : desc.cols;
 
-  // The machine, rebuilt at the engine clock so every link's words/cycle
-  // and every engine cycle share one clock domain.
-  machine::SystemConfig mcfg = sys_;
-  mcfg.chassis.node.clock_mhz = out.plan.clock_mhz;
-  machine::System system(mcfg);
+  // The installation's links, built at the engine clock so every link's
+  // words/cycle and every engine cycle share one clock domain.
+  machine::SystemConfig at_clock = sys_;
+  at_clock.chassis.node.clock_mhz = out.plan.clock_mhz;
+  machine::LinkChain chain(at_clock);
 
   // Slice the operand rows each shard owns (contiguous in the row-major
   // operand). The slices must outlive the futures; they live here.
@@ -283,7 +194,6 @@ ShardOutcome ShardScheduler::run(const OpDesc& desc, unsigned forced_l) {
   // Scatter: shard i's operand panel (its A rows plus the shared operand —
   // B for GEMM, x for GEMV) walks hops 0..i-1, store-and-forward, shards
   // in ascending order.
-  BusyMap busy;
   std::vector<u64> ready(l, 0);
   for (unsigned i = 1; i < l; ++i) {
     const std::size_t words =
@@ -291,7 +201,7 @@ ShardOutcome ShardScheduler::run(const OpDesc& desc, unsigned forced_l) {
         (desc.kind == OpKind::Gemm ? desc.n * desc.n : desc.cols);
     u64 t = 0;
     for (unsigned p = 0; p < i; ++p)
-      t = drive_leg(hop_channel(system, p, /*forward=*/true), words, t, busy);
+      t = chain.drive_leg(p, /*forward=*/true, words, t);
     ready[i] = t;
   }
 
@@ -318,7 +228,7 @@ ShardOutcome ShardScheduler::run(const OpDesc& desc, unsigned forced_l) {
         out.plan.pieces[i].rows * (desc.kind == OpKind::Gemm ? desc.n : 1);
     u64 t = ready[i] + out.plan.pieces[i].engine_cycles;
     for (unsigned p = i; p-- > 0;)
-      t = drive_leg(hop_channel(system, p, /*forward=*/false), words, t, busy);
+      t = chain.drive_leg(p, /*forward=*/false, words, t);
     out.plan.pieces[i].done = t;
     makespan = std::max(makespan, t);
   }
@@ -337,7 +247,7 @@ ShardOutcome ShardScheduler::run(const OpDesc& desc, unsigned forced_l) {
   }
 
   out.report.design =
-      cat("shard l=", l, " over ", system.chassis_count(), " chassis [",
+      cat("shard l=", l, " over ", chain.chassis_count(), " chassis [",
           out.shards.front().report.design, "]");
   out.report.cycles = makespan;
   out.report.compute_cycles = max_engine;
@@ -347,15 +257,8 @@ ShardOutcome ShardScheduler::run(const OpDesc& desc, unsigned forced_l) {
   out.report.flops = flops;
   out.report.clock_mhz = out.plan.clock_mhz;
 
-  for (unsigned c = 0; c < system.chassis_count(); ++c) {
-    machine::Chassis& ch = system.chassis(c);
-    for (unsigned i = 0; i + 1 < ch.node_count(); ++i) {
-      out.link_words += ch.forward_link(i).words_transferred();
-      out.link_words += ch.backward_link(i).words_transferred();
-    }
-  }
-  for (unsigned c = 0; c + 1 < system.chassis_count(); ++c)
-    out.interchassis_words += system.chassis_link(c).words_transferred();
+  out.link_words = chain.link_words();
+  out.interchassis_words = chain.interchassis_words();
   return out;
 }
 

@@ -1,15 +1,16 @@
 // Sharded multi-FPGA execution (Sec 6.4 made runnable; docs/sharding.md).
 //
 // One large GEMM/GEMV is split into l row-panel sub-ops, mapped onto the
-// FPGA chain of a machine::System (prefix placement: global nodes 0..l-1,
-// walking each chassis's RocketIO chain and the inter-chassis RapidArray
-// links in order), planned through the existing plan layer, executed
-// concurrently on the shared work-stealing pool, and reduced in a fixed
-// deterministic order. The scatter of operand panels to their nodes and the
-// gather of result panels back to node 0 are explicit store-and-forward
-// transfer legs charged through the machine's mem::Channels, so link word
-// counters record real traffic and the reduced cycle count includes the
-// communication the projections of model/projections.cpp only estimate.
+// installation's FPGA chain, a machine::LinkChain (prefix placement: global
+// nodes 0..l-1, walking each chassis's RocketIO chain and the inter-chassis
+// RapidArray links in order), planned through the existing plan layer,
+// executed concurrently on the shared work-stealing pool, and reduced in a
+// fixed deterministic order. The scatter of operand panels to their nodes
+// and the gather of result panels back to node 0 are explicit
+// store-and-forward transfer legs charged through the chain's mem::Channels
+// (LinkChain::drive_leg), so link word counters record real traffic and the
+// reduced cycle count includes the communication the projections of
+// model/projections.cpp only estimate.
 //
 // Determinism contract (pinned by tests/test_shard.cpp and the fuzz
 // harness's Sharded invariant):
@@ -30,17 +31,17 @@
 //     machine config) — identical across reruns and across concurrent /
 //     sequential shard execution. At l = 1 it equals single-device
 //     execution exactly (no transfer legs).
-//   - Model: for GEMM the analytic timeline (model::shard_gemm_model_cycles)
-//     reproduces the channel-driven simulation cycle-for-cycle under the
-//     fixed tune policy — the PR-5 discipline extended to the multi-FPGA
-//     level. GEMV engines carry pipeline-tail cycles the closed-form
-//     gemv_model_cycles omits, so their shard model is ranking-grade, not
-//     exact.
+//   - Model: for GEMM the analytic timeline (model::shard_gemm_model_cycles,
+//     built on model::shard_timeline_cycles) reproduces the channel-driven
+//     simulation cycle-for-cycle under the fixed tune policy — the PR-5
+//     discipline extended to the multi-FPGA level. GEMV engines carry
+//     pipeline-tail cycles the closed-form gemv_model_cycles omits, so
+//     their shard model is ranking-grade, not exact.
 //
-// Clock domains: the scheduler rebuilds its System with the node clock
-// overridden to the op's engine clock, so link words/cycle and engine
-// cycles share one domain (the same convention MmHierConfig uses for its
-// own link rates).
+// Clock domains: each run builds a fresh LinkChain — channels only, no node
+// memory — from the SystemConfig's topology and link rates at the op's
+// engine clock, so link words/cycle and engine cycles share one domain (the
+// same convention MmHierConfig uses for its own link rates).
 #pragma once
 
 #include <cstddef>
@@ -79,7 +80,7 @@ struct ShardPlan {
   std::size_t rows = 0;  ///< rows being split (GEMM: n)
   std::size_t n = 0;     ///< GEMM edge / GEMV cols
   unsigned l = 1;        ///< chosen shard count
-  double clock_mhz = 0.0;            ///< engine clock == System node clock
+  double clock_mhz = 0.0;            ///< engine clock == link-chain clock
   std::vector<ShardPiece> pieces;    ///< l entries, ascending index
   std::vector<ShardCandidate> candidates;  ///< every l the tuner scored
   u64 model_cycles = 0;  ///< analytic total for the chosen l
@@ -95,7 +96,7 @@ struct ShardOutcome {
   double interchassis_words = 0.0; ///< words moved over inter-chassis links
 };
 
-/// Splits one GEMM/GEMV across the FPGAs of a machine::System. Supported
+/// Splits one GEMM/GEMV across the FPGAs of an installation. Supported
 /// descriptors: square OpKind::Gemm and OpKind::Gemv with GemvArch::Tree
 /// (the column architecture's rows/k >= adder-depth hazard bound breaks
 /// under row splitting), both with Placement::Sram — for a sharded op the
@@ -105,7 +106,9 @@ struct ShardOutcome {
 class ShardScheduler {
  public:
   /// `sys` describes the installation topology (chassis count, nodes per
-  /// chassis, link bandwidths); its node clock is overridden per op.
+  /// chassis, link bandwidths); its node clock is overridden per op. Throws
+  /// ConfigError for a count below one or a rate or clock that is not
+  /// positive (machine::LinkChain::validate).
   explicit ShardScheduler(Runtime& rt, machine::SystemConfig sys = {});
 
   /// Choose l (forced_l == 0: smallest modeled-fastest l among

@@ -1,28 +1,37 @@
 #include "machine/chassis.hpp"
 
+#include "machine/system.hpp"
+
 namespace xd::machine {
 
 Chassis::Chassis(const ChassisConfig& cfg, unsigned index)
-    : cfg_(cfg), index_(index) {
-  require(cfg.nodes >= 1, "chassis needs at least one node");
-  const double clock_hz = cfg.node.clock_mhz * 1e6;
-  const double words_per_cycle =
-      mem::Channel::words_per_cycle_for(cfg.link_bytes_per_s, clock_hz);
-  for (unsigned i = 0; i < cfg.nodes; ++i) {
-    nodes_.push_back(std::make_unique<ComputeNode>(cfg.node, index * cfg.nodes + i));
-  }
-  for (unsigned i = 0; i + 1 < cfg.nodes; ++i) {
-    fwd_.push_back(std::make_unique<mem::Channel>(
-        words_per_cycle, cat("chassis", index_, ".fwd", i)));
-    bwd_.push_back(std::make_unique<mem::Channel>(
-        words_per_cycle, cat("chassis", index_, ".bwd", i)));
+    : cfg_(cfg), index_(index), links_(nullptr), slot_(0) {
+  SystemConfig alone;
+  alone.chassis = cfg;
+  alone.chassis_count = 1;
+  own_ = std::make_unique<LinkChain>(alone);
+  links_ = own_.get();
+  add_nodes();
+}
+
+Chassis::Chassis(const ChassisConfig& cfg, unsigned index, LinkChain& links)
+    : cfg_(cfg), index_(index), links_(&links), slot_(index) {
+  require(links.nodes_per_chassis() == cfg.nodes &&
+              index < links.chassis_count(),
+          "chassis does not fit its link chain");
+  add_nodes();
+}
+
+void Chassis::add_nodes() {
+  for (unsigned i = 0; i < cfg_.nodes; ++i) {
+    nodes_.push_back(
+        std::make_unique<ComputeNode>(cfg_.node, index_ * cfg_.nodes + i));
   }
 }
 
 void Chassis::tick() {
   for (auto& n : nodes_) n->tick();
-  for (auto& c : fwd_) c->tick();
-  for (auto& c : bwd_) c->tick();
+  links_->tick_chassis(slot_);
 }
 
 }  // namespace xd::machine

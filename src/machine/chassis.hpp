@@ -2,11 +2,16 @@
 // RocketIO multi-gigabit transceivers (Sec 3.1.2). The hierarchical GEMM
 // design (Sec 5.2) maps its linear FPGA array onto this chain; only node 0
 // touches DRAM, and C results flow back along the same links.
+//
+// The links themselves belong to a machine::LinkChain: a standalone chassis
+// owns a one-chassis chain, a chassis inside a machine::System borrows its
+// segment of the system's chain.
 #pragma once
 
 #include <memory>
 #include <vector>
 
+#include "machine/link_chain.hpp"
 #include "machine/node.hpp"
 #include "mem/channel.hpp"
 
@@ -23,7 +28,11 @@ struct ChassisConfig {
 
 class Chassis {
  public:
+  /// A standalone chassis: the links of a one-chassis installation.
   explicit Chassis(const ChassisConfig& cfg, unsigned index = 0);
+  /// Chassis `index` of `links`, whose RocketIO channels it uses; `links`
+  /// must outlive the chassis.
+  Chassis(const ChassisConfig& cfg, unsigned index, LinkChain& links);
 
   void tick();
 
@@ -32,17 +41,24 @@ class Chassis {
 
   /// Link carrying traffic from node i to node i+1 (forward, A/B stream) and
   /// back (C results); modeled as one full-duplex channel per direction.
-  mem::Channel& forward_link(unsigned i) { return *fwd_.at(i); }
-  mem::Channel& backward_link(unsigned i) { return *bwd_.at(i); }
+  mem::Channel& forward_link(unsigned i) {
+    return links_->forward_link(slot_, i);
+  }
+  mem::Channel& backward_link(unsigned i) {
+    return links_->backward_link(slot_, i);
+  }
 
   unsigned index() const { return index_; }
 
  private:
+  void add_nodes();
+
   ChassisConfig cfg_;
   unsigned index_;
+  std::unique_ptr<LinkChain> own_;  ///< standalone chassis only
+  LinkChain* links_;
+  unsigned slot_;  ///< this chassis's index within *links_
   std::vector<std::unique_ptr<ComputeNode>> nodes_;
-  std::vector<std::unique_ptr<mem::Channel>> fwd_;
-  std::vector<std::unique_ptr<mem::Channel>> bwd_;
 };
 
 }  // namespace xd::machine

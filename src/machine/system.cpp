@@ -2,23 +2,15 @@
 
 namespace xd::machine {
 
-System::System(const SystemConfig& cfg) : cfg_(cfg) {
-  require(cfg.chassis_count >= 1, "system needs at least one chassis");
-  const double clock_hz = cfg.chassis.node.clock_mhz * 1e6;
-  const double words_per_cycle =
-      mem::Channel::words_per_cycle_for(cfg.interchassis_bytes_per_s, clock_hz);
+System::System(const SystemConfig& cfg) : cfg_(cfg), links_(cfg) {
   for (unsigned i = 0; i < cfg.chassis_count; ++i) {
-    chassis_.push_back(std::make_unique<Chassis>(cfg.chassis, i));
-  }
-  for (unsigned i = 0; i + 1 < cfg.chassis_count; ++i) {
-    links_.push_back(
-        std::make_unique<mem::Channel>(words_per_cycle, cat("syslink", i)));
+    chassis_.push_back(std::make_unique<Chassis>(cfg.chassis, i, links_));
   }
 }
 
 void System::tick() {
   for (auto& c : chassis_) c->tick();
-  for (auto& l : links_) l->tick();
+  links_.tick_interchassis();
 }
 
 unsigned System::total_fpgas() const {

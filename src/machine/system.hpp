@@ -1,9 +1,11 @@
 // Full reconfigurable-system model: multiple chassis connected by RapidArray
 // external switches (Sec 6.4.2: a typical XD1 installation has 12 chassis,
-// 4 GB/s between chassis). Used by the multi-chassis GEMM projection bench,
-// the chassis-scaling example, and the host shard scheduler
-// (host/shard.hpp), which maps l-FPGA sub-ops onto the chain and charges
-// their transfer legs through these channels.
+// 4 GB/s between chassis). Used by the multi-chassis GEMM projection bench
+// and the chassis-scaling example. Every link of the installation — each
+// chassis's RocketIO pairs and the inter-chassis links — lives in one
+// machine::LinkChain the System owns (links()); the host shard scheduler
+// (host/shard.hpp) builds that chain on its own, without the nodes and
+// their memories.
 //
 // Tick-ordering contract (pinned by tests/test_machine.cpp):
 // One System::tick() is one design-clock cycle for every component, advanced
@@ -20,7 +22,7 @@
 //     (tick-then-transfer). A same-cycle produce->forward across a chassis
 //     boundary is therefore allowed, never ambiguous: the inter-chassis
 //     link accrues its cycle-t credit after all chassis-side producers ran.
-//   - Transfers at coarser granularity (the shard scheduler moves a whole
+//   - Transfers at coarser granularity (LinkChain::drive_leg moves a whole
 //     panel per leg) are store-and-forward: a leg completes on the hop's
 //     channel before the next hop starts.
 #pragma once
@@ -41,6 +43,8 @@ struct SystemConfig {
 class System {
  public:
   explicit System(const SystemConfig& cfg);
+  System(const System&) = delete;
+  System& operator=(const System&) = delete;
 
   /// Advance one design-clock cycle in the documented order: all chassis
   /// (nodes, forward links, backward links) first, then the inter-chassis
@@ -55,14 +59,17 @@ class System {
   unsigned total_fpgas() const;
 
   /// Link between chassis i and i+1.
-  mem::Channel& chassis_link(unsigned i) { return *links_.at(i); }
+  mem::Channel& chassis_link(unsigned i) { return links_.chassis_link(i); }
+
+  /// Every link of the installation; the chassis use its channels.
+  LinkChain& links() { return links_; }
 
   const SystemConfig& config() const { return cfg_; }
 
  private:
   SystemConfig cfg_;
+  LinkChain links_;  // declared before chassis_, which borrow its channels
   std::vector<std::unique_ptr<Chassis>> chassis_;
-  std::vector<std::unique_ptr<mem::Channel>> links_;
 };
 
 }  // namespace xd::machine

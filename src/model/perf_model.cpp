@@ -124,10 +124,6 @@ std::vector<ChainStage> jacobi_sweep_chain(std::size_t n, std::size_t systems,
   return chain;
 }
 
-u64 shard_leg_cycles(double words, double words_per_cycle) {
-  return stage_cycles(words, words_per_cycle);
-}
-
 u64 mm_hier_panel_model_cycles(std::size_t rows, std::size_t n, unsigned k,
                                unsigned l) {
   // rows * n^2 / (k l) streaming cycles plus the k*l array fill/drain skew —
@@ -151,50 +147,53 @@ u64 mm_hier_panel_cycles(std::size_t rows, std::size_t n, unsigned k,
   return std::max(compute, io);
 }
 
-u64 shard_gemm_model_cycles(std::size_t n, const ShardGemmModel& m) {
-  require(m.l >= 1, "shard_gemm_model_cycles: l must be >= 1");
-  require(m.nodes_per_chassis >= 1,
-          "shard_gemm_model_cycles: nodes_per_chassis must be >= 1");
-  if (m.l == 1)
-    return mm_hier_panel_cycles(n, n, m.k, m.engine_l, m.b, m.engine_wpc);
-
-  // Channel occupancy along the chain, keyed per hop p (positions p -> p+1):
-  // 3p = forward intra-chassis link, 3p+1 = backward intra-chassis link,
-  // 3p+2 = the inter-chassis link, which both directions share. One map
-  // across scatter and gather — exactly the scheduler's busy bookkeeping.
-  std::vector<u64> busy(3 * static_cast<std::size_t>(m.l - 1), 0);
-  auto leg = [&](unsigned p, bool forward, double words, u64 ready) {
-    const bool cross = (p + 1) % m.nodes_per_chassis == 0;
-    const std::size_t key = 3 * static_cast<std::size_t>(p) +
-                            (cross ? 2 : (forward ? 0 : 1));
-    const double wpc = cross ? m.xlink_wpc : (forward ? m.fwd_wpc : m.bwd_wpc);
-    const u64 end =
-        std::max(busy[key], ready) + shard_leg_cycles(words, wpc);
-    busy[key] = end;
-    return end;
+u64 shard_timeline_cycles(const std::vector<ShardCost>& shards,
+                          const ShardChainModel& chain) {
+  require(chain.nodes_per_chassis >= 1,
+          "shard_timeline_cycles: nodes_per_chassis must be >= 1");
+  // Busy-until cycle per channel, keyed per hop p (positions p -> p+1): 3p
+  // forward and 3p+1 backward RocketIO, 3p+2 the inter-chassis link both
+  // directions share. Each leg costs ceil(words / wpc).
+  const std::size_t l = shards.size();
+  std::vector<u64> busy(3 * l, 0);
+  auto leg = [&](std::size_t p, bool forward, double words, u64 ready) {
+    const bool cross = (p + 1) % chain.nodes_per_chassis == 0;
+    u64& until = busy[3 * p + (cross ? 2 : forward ? 0 : 1)];
+    until = std::max(until, ready) +
+            stage_cycles(words, cross ? chain.xlink_wpc : chain.link_wpc);
+    return until;
   };
 
-  const double dn = static_cast<double>(n);
-  std::vector<u64> done(m.l, 0);
-  // Scatter, shards in ascending order: shard i receives its A row panel
-  // plus the whole B operand, store-and-forward over hops 0..i-1.
-  for (unsigned i = 0; i < m.l; ++i) {
-    const double words =
-        static_cast<double>(shard_rows(n, m.l, i)) * dn + dn * dn;
+  std::vector<u64> done(l, 0);
+  for (std::size_t i = 0; i < l; ++i) {
     u64 t = 0;
-    for (unsigned p = 0; p < i; ++p) t = leg(p, /*forward=*/true, words, t);
-    done[i] = t + mm_hier_panel_cycles(shard_rows(n, m.l, i), n, m.k,
-                                       m.engine_l, m.b, m.engine_wpc);
+    for (std::size_t p = 0; p < i; ++p)
+      t = leg(p, /*forward=*/true, shards[i].scatter_words, t);
+    done[i] = t + shards[i].engine_cycles;
   }
-  // Gather, ascending order again: each C row panel walks back to node 0.
-  u64 total = done[0];
-  for (unsigned i = 1; i < m.l; ++i) {
-    const double words = static_cast<double>(shard_rows(n, m.l, i)) * dn;
+  u64 total = 0;
+  for (std::size_t i = 0; i < l; ++i) {
     u64 t = done[i];
-    for (unsigned p = i; p-- > 0;) t = leg(p, /*forward=*/false, words, t);
+    for (std::size_t p = i; p-- > 0;)
+      t = leg(p, /*forward=*/false, shards[i].gather_words, t);
     total = std::max(total, t);
   }
   return total;
+}
+
+u64 shard_gemm_model_cycles(std::size_t n, const ShardGemmModel& m) {
+  require(m.l >= 1, "shard_gemm_model_cycles: l must be >= 1");
+  const double dn = static_cast<double>(n);
+  std::vector<ShardCost> shards;
+  for (unsigned i = 0; i < m.l; ++i) {
+    const std::size_t rows = shard_rows(n, m.l, i);
+    const double panel = static_cast<double>(rows) * dn;
+    shards.push_back({panel + dn * dn,
+                      mm_hier_panel_cycles(rows, n, m.k, m.engine_l, m.b,
+                                           m.engine_wpc),
+                      panel});
+  }
+  return shard_timeline_cycles(shards, m.chain);
 }
 
 GemmDesignPoint gemm_hier_multi(std::size_t n, unsigned k, unsigned l,

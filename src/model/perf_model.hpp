@@ -153,12 +153,13 @@ GemmDesignPoint gemm_hier_multi(std::size_t n, unsigned k, unsigned l,
 
 // ---- Sharded multi-FPGA execution (host/shard.hpp; docs/sharding.md) -------
 // The shard scheduler splits one GEMM/GEMV into l row panels, maps them onto
-// the machine::System FPGA chain, and charges explicit transfer legs through
-// the chassis/system channels. These formulas replicate that timeline
-// closed-form — one ceil(words / wpc) per leg, the same serialized
-// store-and-forward order — so the analytic model and the channel-driven
-// cycle sim agree exactly (tests/test_shard.cpp pins the equality, the same
-// discipline the fused-chain staging formulas above established).
+// a machine::LinkChain (the FPGA chain of an installation, without its node
+// memories), and charges explicit transfer legs through the chain's
+// channels. These formulas replicate that timeline closed-form — one
+// ceil(words / wpc) per leg, the same serialized store-and-forward order —
+// so the analytic model and the channel-driven cycle sim agree exactly
+// (tests/test_shard.cpp pins the equality, the same discipline the
+// fused-chain staging formulas above established).
 
 /// Rows shard i (0-based) of l owns under the deterministic row-panel
 /// split: base rows/l plus one of the first rows%l remainder rows.
@@ -174,22 +175,37 @@ inline std::size_t shard_row0(std::size_t rows, unsigned l, unsigned i) {
   return static_cast<std::size_t>(i) * base + std::min<std::size_t>(i, rem);
 }
 
-/// One store-and-forward transfer leg across one channel:
-/// ceil(words / words_per_cycle). The shard scheduler's channel drive loop
-/// produces exactly this count (greedy whole-word drain of a credit
-/// accumulator whose burst exceeds rate + 1 word of carry).
-u64 shard_leg_cycles(double words, double words_per_cycle);
+/// The chain the shards sit on. Link rates are in words per engine clock
+/// cycle (the scheduler builds its chain at the engine clock, so every leg
+/// and every engine cycle share one clock domain).
+struct ShardChainModel {
+  unsigned nodes_per_chassis = 6;
+  double link_wpc = 0.0;   ///< intra-chassis RocketIO, each direction
+  double xlink_wpc = 0.0;  ///< inter-chassis links (shared direction)
+};
 
-/// The machine and per-shard engine parameters of the sharded-GEMM model.
-/// Link rates are in words per engine clock cycle (the scheduler builds its
-/// System at the engine clock, so every leg and every engine cycle share
-/// one clock domain).
+/// One shard's slice of the timeline.
+struct ShardCost {
+  double scatter_words = 0.0;  ///< operand panel sent out from node 0
+  u64 engine_cycles = 0;       ///< the shard's engine run
+  double gather_words = 0.0;   ///< result panel sent back to node 0
+};
+
+/// Reduced cycle count of a sharded op, shard i on chain position i: each
+/// shard's scatter-ready time (its panel walks hops 0..i-1, shards in
+/// ascending order, legs on one channel serialized), plus its engine
+/// cycles, plus the serialized gather legs back to node 0. Every leg costs
+/// ceil(words / words_per_cycle), the count machine::LinkChain::drive_leg
+/// ticks a channel for (a greedy whole-word drain of a credit accumulator
+/// whose burst exceeds rate + 1 word of carry) — the arithmetic
+/// host::ShardScheduler performs while driving the channels.
+u64 shard_timeline_cycles(const std::vector<ShardCost>& shards,
+                          const ShardChainModel& chain);
+
+/// The chain and per-shard engine parameters of the sharded-GEMM model.
 struct ShardGemmModel {
   unsigned l = 1;                 ///< shards (one FPGA of the chain each)
-  unsigned nodes_per_chassis = 6;
-  double fwd_wpc = 0.0;           ///< intra-chassis forward (scatter) links
-  double bwd_wpc = 0.0;           ///< intra-chassis backward (gather) links
-  double xlink_wpc = 0.0;         ///< inter-chassis links (shared direction)
+  ShardChainModel chain;
   // Per-shard engine: the planned mm-hier row-panel design.
   unsigned k = 8;                 ///< PEs per FPGA
   unsigned engine_l = 1;          ///< FPGAs inside one shard's engine
@@ -214,11 +230,9 @@ double mm_hier_panel_dram_words(std::size_t rows, std::size_t n,
 u64 mm_hier_panel_cycles(std::size_t rows, std::size_t n, unsigned k,
                          unsigned l, std::size_t b, double engine_wpc);
 
-/// Reduced cycle count of the sharded n x n GEMM: the per-shard
-/// scatter-ready times (serialized legs over shared hops, shards in
-/// ascending index order), plus each shard's engine cycles, plus the
-/// serialized gather legs back to node 0 — the exact arithmetic
-/// host::ShardScheduler performs while driving the channels.
+/// Reduced cycle count of the sharded n x n GEMM: shard_timeline_cycles
+/// with each shard's A row panel plus all of B scattered, its
+/// mm_hier_panel_cycles, and its C row panel gathered.
 u64 shard_gemm_model_cycles(std::size_t n, const ShardGemmModel& m);
 
 // ---- I/O complexity (Hong & Kung lower bound, Sec 5) -----------------------

@@ -451,8 +451,10 @@ std::optional<CheckFailure> check_op(const FuzzCase& fc, CaseData& data) {
 }
 
 /// FuzzKind::Sharded invariant: the case's GEMM/GEMV re-run through the
-/// ShardScheduler at l in {1, 2, 3, 6} (on a 3-chassis x 2-node system, so
-/// l = 3 and l = 6 cross chassis boundaries).
+/// ShardScheduler at l in {1, 2, 3, 6} on a 3-chassis x 2-node system (l = 3
+/// and l = 6 cross chassis boundaries), then at l in {7, 13, 72} — each
+/// capped at the row count — on the default 12-chassis x 6-node
+/// installation, where a chain crosses up to eleven chassis boundaries.
 ///
 /// Value comparison against the single-device run is scoped by what the
 /// engine's association order guarantees (the same doctrine as the oracle,
@@ -476,9 +478,10 @@ std::optional<CheckFailure> check_sharded(const FuzzCase& fc, CaseData& data) {
   Runtime rt(fc.config());
   const Outcome base = rt.run(data.desc);
 
-  machine::SystemConfig sys;
-  sys.chassis_count = 3;
-  sys.chassis.nodes = 2;
+  machine::SystemConfig small;
+  small.chassis_count = 3;
+  small.chassis.nodes = 2;
+  const machine::SystemConfig full;  // 12 chassis x 6 nodes
 
   const bool is_gemm = fc.n > 0;
   const std::size_t rows = is_gemm ? fc.n : fc.rows;
@@ -486,14 +489,29 @@ std::optional<CheckFailure> check_sharded(const FuzzCase& fc, CaseData& data) {
       !is_gemm && fc.mode == ValueMode::Uniform
           ? oracle_gemv(data.a, data.desc.rows, data.desc.cols, data.x)
           : OracleVec{};
-  for (const unsigned l : {1u, 2u, 3u, 6u}) {
-    if (l > rows) continue;
+  struct Run {
+    const machine::SystemConfig& sys;
+    unsigned l;
+  };
+  std::vector<Run> runs;
+  for (const unsigned l : {1u, 2u, 3u, 6u})
+    if (l <= rows) runs.push_back({small, l});
+  unsigned last = 0;
+  for (const unsigned want_l : {7u, 13u, 72u}) {
+    const unsigned l =
+        static_cast<unsigned>(std::min<std::size_t>(want_l, rows));
+    if (l != last) runs.push_back({full, l});
+    last = l;
+  }
+  for (const auto& [sys, l] : runs) {
+    const std::string at =
+        cat(sys.chassis_count, "x", sys.chassis.nodes, " l=", l);
     host::ShardScheduler sched(rt, sys);
     const host::ShardOutcome out = sched.run(data.desc, l);
 
     if (out.values.size() != base.values.size()) {
       return CheckFailure{"shard-identity",
-                          cat("l=", l, ": ", out.values.size(),
+                          cat(at, ": ", out.values.size(),
                               " values != single-device ",
                               base.values.size())};
     }
@@ -502,7 +520,7 @@ std::optional<CheckFailure> check_sharded(const FuzzCase& fc, CaseData& data) {
         if (!bits_equal(out.values[i], base.values[i])) {
           return CheckFailure{
               "shard-identity",
-              cat("l=", l, " values[", i, "] ", out.values[i],
+              cat(at, " values[", i, "] ", out.values[i],
                   " != ", base.values[i], " (bits 0x", std::hex,
                   fp::to_bits(out.values[i]), " vs 0x",
                   fp::to_bits(base.values[i]), ")")};
@@ -514,7 +532,7 @@ std::optional<CheckFailure> check_sharded(const FuzzCase& fc, CaseData& data) {
         const double diff = std::fabs(out.values[i] - want.values[i]);
         if (!(diff <= tol)) {
           return CheckFailure{"shard-identity",
-                              cat("l=", l, " values[", i, "]: sharded ",
+                              cat(at, " values[", i, "]: sharded ",
                                   out.values[i], " vs oracle ",
                                   want.values[i], ", |diff| ", diff, " > tol ",
                                   tol)};
@@ -530,7 +548,7 @@ std::optional<CheckFailure> check_sharded(const FuzzCase& fc, CaseData& data) {
     }
     if (fc.n > 0 && out.report.cycles != out.plan.model_cycles) {
       return CheckFailure{"shard-model",
-                          cat("l=", l, " simulated ", out.report.cycles,
+                          cat(at, " simulated ", out.report.cycles,
                               " cycles != modeled ", out.plan.model_cycles)};
     }
 
@@ -540,13 +558,13 @@ std::optional<CheckFailure> check_sharded(const FuzzCase& fc, CaseData& data) {
     const host::ShardOutcome rep = again.run(data.desc, l);
     if (rep.report.cycles != out.report.cycles) {
       return CheckFailure{"shard-determinism",
-                          cat("l=", l, " rerun took ", rep.report.cycles,
+                          cat(at, " rerun took ", rep.report.cycles,
                               " cycles != ", out.report.cycles)};
     }
     for (std::size_t i = 0; i < base.values.size(); ++i) {
       if (!bits_equal(rep.values[i], out.values[i])) {
         return CheckFailure{"shard-determinism",
-                            cat("l=", l, " rerun values[", i, "] differ")};
+                            cat(at, " rerun values[", i, "] differ")};
       }
     }
     for (unsigned s = 0; s < l; ++s) {
@@ -554,7 +572,7 @@ std::optional<CheckFailure> check_sharded(const FuzzCase& fc, CaseData& data) {
           rep.shards[s].report.cycles != out.shards[s].report.cycles) {
         return CheckFailure{
             "shard-determinism",
-            cat("l=", l, " shard ", s, " timeline differs across reruns")};
+            cat(at, " shard ", s, " timeline differs across reruns")};
       }
     }
   }

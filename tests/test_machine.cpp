@@ -3,15 +3,21 @@
 // sensibly.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "machine/area.hpp"
 #include "machine/chassis.hpp"
 #include "machine/device.hpp"
+#include "machine/link_chain.hpp"
 #include "machine/node.hpp"
 #include "machine/system.hpp"
 
 using namespace xd;
 using machine::AreaModel;
 using machine::ComputeNode;
+using machine::LinkChain;
+using machine::SystemConfig;
 using machine::NodeConfig;
 
 TEST(Device, Catalog) {
@@ -240,4 +246,128 @@ TEST(System, TickAdvancesEveryLinkInLockstepAfterProducers) {
   // Credit has accrued: a word can now cross any link in either layer.
   EXPECT_TRUE(sys.chassis(1).forward_link(0).can_transfer(1.0));
   EXPECT_TRUE(sys.chassis_link(1).can_transfer(1.0));
+}
+
+// ---- link chain ------------------------------------------------------------
+
+namespace {
+
+SystemConfig chain_config(unsigned chassis, unsigned nodes) {
+  SystemConfig cfg;
+  cfg.chassis_count = chassis;
+  cfg.chassis.nodes = nodes;
+  return cfg;
+}
+
+}  // namespace
+
+TEST(LinkChain, HopMappingSharesTheInterChassisLinkBetweenDirections) {
+  // 3 chassis x 2 nodes: hops 1 and 3 cross chassis boundaries.
+  LinkChain chain(chain_config(3, 2));
+  EXPECT_EQ(chain.fpgas(), 6u);
+  EXPECT_EQ(&chain.hop(0, true), &chain.forward_link(0, 0));
+  EXPECT_EQ(&chain.hop(0, false), &chain.backward_link(0, 0));
+  EXPECT_NE(&chain.hop(0, true), &chain.hop(0, false));
+  EXPECT_EQ(&chain.hop(1, true), &chain.chassis_link(0));
+  EXPECT_EQ(&chain.hop(1, false), &chain.chassis_link(0));
+  EXPECT_EQ(&chain.hop(2, true), &chain.forward_link(1, 0));
+  EXPECT_EQ(&chain.hop(3, false), &chain.chassis_link(1));
+
+  // The default installation: 12 chassis of 6, every sixth hop crosses.
+  LinkChain full(chain_config(12, 6));
+  for (unsigned p = 0; p + 1 < full.fpgas(); ++p) {
+    const unsigned c = p / 6;
+    if (p % 6 == 5) {
+      EXPECT_EQ(&full.hop(p, true), &full.chassis_link(c)) << "hop " << p;
+      EXPECT_EQ(&full.hop(p, false), &full.chassis_link(c)) << "hop " << p;
+    } else {
+      EXPECT_EQ(&full.hop(p, true), &full.forward_link(c, p % 6));
+      EXPECT_EQ(&full.hop(p, false), &full.backward_link(c, p % 6));
+    }
+  }
+  EXPECT_THROW(full.chassis_link(11), std::out_of_range);
+  EXPECT_THROW(full.forward_link(0, 5), std::out_of_range);
+  EXPECT_THROW(full.hop(71, true), std::out_of_range);
+}
+
+TEST(LinkChain, LegsOnOneChannelSerializeAndCostCeilWordsOverRate) {
+  LinkChain chain(chain_config(2, 2));
+  const double rate = chain.hop(0, true).rate();
+  const u64 leg = static_cast<u64>(std::ceil(100.0 / rate));
+
+  EXPECT_EQ(chain.drive_leg(0, true, 100, 0), leg);
+  // Same channel: waits for the first leg, whatever its own ready time.
+  EXPECT_EQ(chain.drive_leg(0, true, 100, 0), 2 * leg);
+  EXPECT_EQ(chain.drive_leg(0, true, 100, 5 * leg), 6 * leg);
+  // The backward RocketIO channel is a separate resource.
+  EXPECT_EQ(chain.drive_leg(0, false, 100, 0), leg);
+  // The inter-chassis link is one resource for both directions.
+  const double xrate = chain.chassis_link(0).rate();
+  const u64 xleg = static_cast<u64>(std::ceil(64.0 / xrate));
+  EXPECT_EQ(chain.drive_leg(1, true, 64, 0), xleg);
+  EXPECT_EQ(chain.drive_leg(1, false, 64, 0), 2 * xleg);
+
+  EXPECT_EQ(chain.link_words(), 400.0);
+  EXPECT_EQ(chain.interchassis_words(), 128.0);
+}
+
+TEST(LinkChain, RejectsDegenerateTopologyRatesAndClock) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto with = [](auto edit) {
+    SystemConfig cfg = chain_config(3, 2);
+    edit(cfg);
+    return cfg;
+  };
+  EXPECT_NO_THROW(LinkChain::validate(chain_config(3, 2)));
+  EXPECT_THROW(LinkChain::validate(with([](auto& c) { c.chassis_count = 0; })),
+               ConfigError);
+  EXPECT_THROW(LinkChain::validate(with([](auto& c) { c.chassis.nodes = 0; })),
+               ConfigError);
+  EXPECT_THROW(LinkChain::validate(
+                   with([](auto& c) { c.chassis.link_bytes_per_s = 0.0; })),
+               ConfigError);
+  EXPECT_THROW(LinkChain::validate(
+                   with([](auto& c) { c.interchassis_bytes_per_s = -1.0; })),
+               ConfigError);
+  EXPECT_THROW(LinkChain::validate(
+                   with([](auto& c) { c.chassis.node.clock_mhz = 0.0; })),
+               ConfigError);
+  EXPECT_THROW(LinkChain::validate(
+                   with([&](auto& c) { c.chassis.node.clock_mhz = nan; })),
+               ConfigError);
+  // The constructor validates too, and so does a System built on the chain.
+  const SystemConfig zero_link =
+      with([](auto& c) { c.chassis.link_bytes_per_s = 0.0; });
+  EXPECT_THROW(LinkChain chain(zero_link), ConfigError);
+  EXPECT_THROW(machine::System sys(zero_link), ConfigError);
+}
+
+TEST(System, LinksAreTheSystemsLinkChain) {
+  machine::SystemConfig cfg;
+  cfg.chassis_count = 3;
+  cfg.chassis.nodes = 2;
+  machine::System sys(cfg);
+  LinkChain& links = sys.links();
+  EXPECT_EQ(links.fpgas(), sys.total_fpgas());
+  for (unsigned c = 0; c < sys.chassis_count(); ++c) {
+    EXPECT_EQ(&sys.chassis(c).forward_link(0), &links.forward_link(c, 0));
+    EXPECT_EQ(&sys.chassis(c).backward_link(0), &links.backward_link(c, 0));
+    EXPECT_THROW(sys.chassis(c).forward_link(1), std::out_of_range);
+  }
+  for (unsigned c = 0; c + 1 < sys.chassis_count(); ++c)
+    EXPECT_EQ(&sys.chassis_link(c), &links.chassis_link(c));
+  // A leg driven on the chain shows on the system's own link counters.
+  links.drive_leg(1, true, 10, 0);
+  EXPECT_EQ(sys.chassis_link(0).words_transferred(), 10.0);
+}
+
+TEST(System, BuildingTheDefaultInstallationTouchesNoNodeMemory) {
+  // 72 nodes describe ~5.6 GiB of SRAM and DRAM; none of it is allocated
+  // until a design writes to it.
+  machine::System sys(machine::SystemConfig{});
+  EXPECT_EQ(sys.total_fpgas(), 72u);
+  ComputeNode& last = sys.chassis(11).node(5);
+  EXPECT_FALSE(last.dram().storage().allocated());
+  EXPECT_FALSE(last.sram(3).storage().allocated());
+  EXPECT_EQ(last.dram().storage().words(), 8ull * 1024 * 1024);
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "machine/device.hpp"
 #include "mem/bram.hpp"
@@ -37,6 +39,53 @@ TEST(WordMemory, BulkLoadDumpNotCounted) {
   EXPECT_EQ(m.total_traffic_words(), 0u);  // host-side init is free
   EXPECT_THROW(m.load(7, {1, 2}), ConfigError);
   EXPECT_THROW(m.dump(7, 2), ConfigError);
+}
+
+TEST(WordMemory, StorageIsAllocatedOnFirstWrite) {
+  // A 64 MB DRAM slice costs nothing until something is written to it.
+  WordMemory m(8ull * 1024 * 1024, "big");
+  EXPECT_FALSE(m.allocated());
+  EXPECT_EQ(m.words(), 8ull * 1024 * 1024);
+  EXPECT_EQ(m.bytes(), 64ull * 1024 * 1024);
+  EXPECT_EQ(m.read(12345), 0u);
+  EXPECT_EQ(m.dump(100, 3), (std::vector<u64>{0, 0, 0}));
+  EXPECT_FALSE(m.allocated());  // reads and dumps stay lazy
+  EXPECT_EQ(m.words_read(), 1u);
+
+  m.write(7, 42);
+  EXPECT_TRUE(m.allocated());
+  EXPECT_EQ(m.read(7), 42u);
+  EXPECT_EQ(m.read(8), 0u);  // the rest of the memory is still zero
+}
+
+TEST(WordMemory, LoadAndFillAllocate) {
+  WordMemory loaded(16, "l");
+  loaded.load(4, {9, 8});
+  EXPECT_TRUE(loaded.allocated());
+  EXPECT_EQ(loaded.dump(3, 4), (std::vector<u64>{0, 9, 8, 0}));
+
+  WordMemory filled(4, "f");
+  filled.fill(5);
+  EXPECT_TRUE(filled.allocated());
+  EXPECT_EQ(filled.dump(0, 4), (std::vector<u64>{5, 5, 5, 5}));
+}
+
+TEST(WordMemory, BoundsChecksHoldBeforeAllocation) {
+  // The capacity, not the (still empty) storage, bounds every access, with
+  // the same errors an allocated memory gives.
+  WordMemory m(16, "t");
+  EXPECT_THROW(m.read(16), SimError);
+  EXPECT_THROW(m.write(16, 1), SimError);
+  EXPECT_THROW(m.load(15, {1, 2}), ConfigError);
+  EXPECT_THROW(m.dump(15, 2), ConfigError);
+  EXPECT_FALSE(m.allocated());
+  try {
+    m.read(20);
+    FAIL() << "read past the end did not throw";
+  } catch (const SimError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "out-of-bounds access to t: addr 20 of 16 words");
+  }
 }
 
 TEST(Channel, SustainedRateEnforced) {

@@ -7,6 +7,8 @@
 // for every word the store-and-forward legs moved.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -353,4 +355,76 @@ TEST(ShardPlan, RejectsUnshardableDescriptors) {
   machine::SystemConfig broken;
   broken.chassis_count = 0;
   EXPECT_THROW(ShardScheduler bad(rt, broken), ConfigError);
+}
+
+TEST(ShardPlan, NonPositiveLinkRatesOrClockAreRejectedBeforePlanning) {
+  // A zero rate would make every leg's ceil(words / rate) infinite; the
+  // scheduler must refuse the machine instead of planning with it.
+  Rng rng(47);
+  const auto a = rng.matrix(24, 24);
+  const auto b = rng.matrix(24, 24);
+  ContextConfig cfg;
+  Runtime rt(cfg);
+  const auto zero_link = [](machine::SystemConfig& s) {
+    s.chassis.link_bytes_per_s = 0.0;
+  };
+  const auto negative_xlink = [](machine::SystemConfig& s) {
+    s.interchassis_bytes_per_s = -4.0 * kGB;
+  };
+  const auto zero_clock = [](machine::SystemConfig& s) {
+    s.chassis.node.clock_mhz = 0.0;
+  };
+  for (const auto& edit : {+zero_link, +negative_xlink, +zero_clock}) {
+    machine::SystemConfig sys = small_system();
+    edit(sys);
+    EXPECT_THROW(
+        {
+          ShardScheduler sched(rt, sys);
+          sched.plan(OpDesc::gemm(a, b, 24), 0);
+        },
+        ConfigError);
+  }
+}
+
+// ---- resources ------------------------------------------------------------
+
+namespace {
+
+long peak_rss_kib() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;  // KiB on Linux
+}
+
+}  // namespace
+
+TEST(ShardResources, DefaultInstallationRunStaysUnderAnRssBound) {
+  // The default SystemConfig is 12 chassis x 6 nodes, whose node memories
+  // alone describe ~5.6 GiB. A sharded op drives only the link chain, so
+  // its peak RSS must not grow by more than 64 MiB, at l values that cross
+  // several chassis boundaries.
+  const std::size_t n = 48, rows = 144, cols = 64;
+  Rng rng(53);
+  const auto a = rng.matrix(n, n);
+  const auto b = rng.matrix(n, n);
+  const auto ga = rng.matrix(rows, cols);
+  const auto x = rng.vector(cols);
+  ContextConfig cfg;
+  Runtime rt(cfg);
+  ShardScheduler sched(rt);  // the default installation
+  ASSERT_EQ(sched.system_config().chassis_count, 12u);
+  ASSERT_EQ(sched.system_config().chassis.nodes, 6u);
+
+  const long before = peak_rss_kib();
+  const ShardOutcome gemm = sched.run(OpDesc::gemm(a, b, n), 13);
+  const ShardOutcome gemv = sched.run(OpDesc::gemv(ga, rows, cols, x), 36);
+  const long grown_kib = peak_rss_kib() - before;
+  EXPECT_LE(grown_kib, 64 * 1024) << "peak RSS grew by " << grown_kib << " KiB";
+
+  EXPECT_EQ(gemm.plan.l, 13u);
+  EXPECT_EQ(gemm.report.cycles, gemm.plan.model_cycles);
+  EXPECT_GT(gemm.interchassis_words, 0.0);
+  EXPECT_EQ(gemv.plan.l, 36u);
+  EXPECT_EQ(gemv.values.size(), rows);
+  EXPECT_GT(gemv.interchassis_words, 0.0);
 }
