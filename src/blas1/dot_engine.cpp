@@ -3,25 +3,58 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <optional>
 
-#include "fp/backend.hpp"
-#include "fp/softfloat.hpp"
-#include "sim/scratch.hpp"
+#include "sim/mac_reduce.hpp"
 #include "telemetry/session.hpp"
 
 namespace xd::blas1 {
 
 namespace {
-/// FIFO between the adder tree and the reduction circuit; absorbs the rare
-/// cycles where the circuit refuses input (buffer swap pressure).
-constexpr std::size_t kRedFifoCap = 64;
+
+/// A batch of dense (u, v) pairs streamed k elements of each per cycle.
+/// Dot touches every element exactly once, so whole-vector pre-conversion
+/// would double the memory traffic (write the converted copy, read it
+/// back); converting one k-wide group into L1-resident panels right before
+/// the multiply costs the same conversions without the extra pass.
+struct DotFeeder {
+  const std::vector<double>* const* us;
+  const std::vector<double>* const* vs;
+  std::size_t count;
+  unsigned k;
+  mem::Channel& channel;
+  u64* upanel;
+  u64* vpanel;
+  const fp::Backend& be = fp::active_backend();
+  std::size_t pair = 0, pos = 0;
+  u64 streamed_words = 0;
+
+  void tick() { channel.tick(); }
+  bool more() const { return pair < count; }
+  void issue(u64 cycle, fp::MultiplierBank& mults) {
+    const auto& u = *us[pair];
+    const auto& v = *vs[pair];
+    const std::size_t lanes = std::min<std::size_t>(k, u.size() - pos);
+    const double words = 2.0 * static_cast<double>(lanes);
+    if (!channel.can_transfer(words)) return;
+    channel.transfer(words);
+    streamed_words += 2 * lanes;
+    std::memcpy(upanel, &u[pos], lanes * sizeof(double));
+    std::memcpy(vpanel, &v[pos], lanes * sizeof(double));
+    u64* products = mults.stage(cycle, pos + lanes == u.size());
+    be.mul_n(upanel, vpanel, products, lanes);
+    std::fill(products + lanes, products + mults.width(), fp::kPosZero);
+    pos += lanes;
+    if (pos == u.size()) {
+      pos = 0;
+      ++pair;
+    }
+  }
+};
+
 }  // namespace
 
 DotEngine::DotEngine(const DotConfig& cfg) : cfg_(cfg) {
-  require(cfg.k >= 1, "dot engine needs k >= 1");
-  require(cfg.k == 1 || is_pow2(cfg.k), "adder tree needs k to be a power of two");
-  require(cfg.mem_words_per_cycle > 0.0, "memory bandwidth must be positive");
+  sim::require_mac_reduce_config("dot engine", cfg.k, cfg.mem_words_per_cycle);
 }
 
 u64 DotEngine::io_lower_bound_cycles(u64 total_elements) const {
@@ -62,134 +95,34 @@ DotOutcome DotEngine::run_impl(const std::vector<double>* const* us,
   // slower than the group size still feeds the lanes every few cycles.
   mem::Channel channel(cfg_.mem_words_per_cycle, "dot.mem",
                        std::max(cfg_.mem_words_per_cycle + 2.0, 2.0 * k));
-
-  // The adder tree + reduction circuit + multiplier bank scaffold comes
-  // from the per-thread scratch pool (reset, not reconstructed — its ~60
-  // allocations dominated tiny-op cost). The FIFO's issue gate keeps at
-  // most kRedFifoCap queued entries, but groups already in flight in the
-  // bank and tree still land after the gate closes — its capacity covers
-  // that worst case.
-  const fp::Backend& be = fp::active_backend();
-  const unsigned kk = std::max(2u, k);  // tree unused when k == 1
   sim::TreeScratchLease scratch(
-      {kk, cfg_.adder_stages, cfg_.multiplier_stages,
-       kRedFifoCap + cfg_.multiplier_stages +
-           static_cast<std::size_t>(log2_floor(kk)) * cfg_.adder_stages + 2,
-       &be});
-  fp::AdderTree& tree = scratch->tree;
-  reduce::ReductionCircuit& red = scratch->red;
-  fp::MultiplierBank& mults = scratch->mults;
-  RingFifo<std::pair<u64, bool>>& red_fifo = scratch->red_fifo;
-  if (cfg_.telemetry && cfg_.telemetry->trace().enabled()) {
-    red.attach_trace(&cfg_.telemetry->trace());
-  }
-
-  // Per-group operand panels. Dot touches every element exactly once, so
-  // whole-vector pre-conversion would double the memory traffic (write the
-  // converted copy, read it back); converting one k-wide group into these
-  // L1-resident panels right before the multiply costs the same conversions
-  // without the extra pass.
+      sim::mac_reduce_key(k, cfg_.adder_stages, cfg_.multiplier_stages));
   scratch->abits.resize(k);
   scratch->xbits.resize(k);
-  u64* const upanel = scratch->abits.data();
-  u64* const vpanel = scratch->xbits.data();
+  DotFeeder feed{us, vs, count, k, channel, scratch->abits.data(),
+                 scratch->xbits.data()};
 
   DotOutcome out;
   out.results.assign(count, 0.0);
-
-  std::size_t pair = 0, pos = 0;  // input cursor
-  std::size_t results_done = 0;
-  u64 streamed_words = 0;
-  u64 cycle = 0;
-  u64 stalls = 0;
-
-  const u64 budget = 50'000'000;
-  while (results_done < count) {
-    ++cycle;
-    if (cycle > budget) throw SimError("dot engine wedged");
-    channel.tick();
-
-    // Multiplier bank: completed product groups feed the adder tree (k >= 2)
-    // or go straight to the reduction FIFO (k == 1).
-    if (auto g = mults.pop_ready(cycle)) {
-      if (k == 1) {
-        red_fifo.push({g->products[0], g->last});
-      } else {
-        tree.issue(g->products, g->last ? 1 : 0);
-      }
-    }
-
-    if (k >= 2) {
-      tree.tick();
-      if (auto r = tree.take_output()) {
-        red_fifo.push({r->bits, r->tag != 0});
-      }
-    }
-
-    // Reduction circuit: offer the oldest pending tree output.
-    std::optional<reduce::Input> rin;
-    if (!red_fifo.empty()) {
-      rin = reduce::Input{red_fifo.front().first, red_fifo.front().second};
-    }
-    const bool consumed = red.cycle(rin);
-    if (rin.has_value()) {
-      if (consumed) {
-        red_fifo.pop();
-      } else {
-        ++stalls;
-      }
-    }
-    if (auto r = red.take_result()) {
-      out.results.at(r->set_id) = fp::from_bits(r->bits);
-      ++results_done;
-    }
-
-    // Issue a new group of k element pairs if bandwidth and buffering allow.
-    if (pair < count && red_fifo.size() < kRedFifoCap) {
-      const auto& u = *us[pair];
-      const auto& v = *vs[pair];
-      const std::size_t remaining = u.size() - pos;
-      const std::size_t lanes = std::min<std::size_t>(k, remaining);
-      const double words = 2.0 * static_cast<double>(lanes);
-      if (channel.can_transfer(words)) {
-        channel.transfer(words);
-        streamed_words += 2 * lanes;
-        std::memcpy(upanel, &u[pos], lanes * sizeof(double));
-        std::memcpy(vpanel, &v[pos], lanes * sizeof(double));
-        const bool last = (pos + lanes == u.size());
-        u64* products = mults.stage(cycle, last);
-        be.mul_n(upanel, vpanel, products, lanes);
-        std::fill(products + lanes, products + mults.width(), fp::kPosZero);
-        pos += lanes;
-        if (pos == u.size()) {
-          pos = 0;
-          ++pair;
-        }
-      }
-    }
-  }
+  const auto run = sim::run_mac_reduce(*scratch, k, feed, out.results,
+                                       cfg_.telemetry);
 
   u64 flops = 0;
   for (std::size_t i = 0; i < count; ++i) flops += 2 * us[i]->size();
 
   out.report.design = cat("dot k=", std::to_string(k));
-  out.report.cycles = cycle;
-  out.report.compute_cycles = cycle;
+  out.report.cycles = run.cycles;
+  out.report.compute_cycles = run.cycles;
   out.report.flops = flops;
-  out.report.stall_cycles = stalls + red.stats().stall_cycles;
-  out.report.sram_words = static_cast<double>(streamed_words);
+  out.report.stall_cycles = run.stall_cycles;
+  out.report.sram_words = static_cast<double>(feed.streamed_words);
   out.report.clock_mhz = cfg_.clock_mhz;
 
   if (telemetry::Session* tel = cfg_.telemetry) {
-    tel->phase("compute", cycle);
+    tel->phase("compute", run.cycles);
     channel.publish(tel->metrics(), "mem.dot.sram");
-    if (k >= 2) tree.publish(tel->metrics(), "fpu.dot.addtree");
-    red.publish(tel->metrics(), "reduce.dot");
-    tel->counter("fpu.dot.mul.ops").add(flops / 2);
-    tel->counter("blas1.dot.runs").add(1);
-    tel->counter("blas1.dot.cycles").add(cycle);
-    tel->counter("blas1.dot.flops").add(flops);
-    tel->counter("blas1.dot.stall_cycles").add(out.report.stall_cycles);
+    sim::publish_mac_reduce(*tel, *scratch, k, "dot", "blas1.dot", run.cycles,
+                            flops, run.stall_cycles);
     auto lengths = tel->histogram("blas1.dot.vector_words");
     for (std::size_t i = 0; i < count; ++i) {
       lengths.observe(static_cast<double>(us[i]->size()));

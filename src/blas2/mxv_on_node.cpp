@@ -2,16 +2,44 @@
 
 #include <cstring>
 #include <memory>
-#include <optional>
 
-#include "common/ring_fifo.hpp"
-#include "fp/backend.hpp"
-#include "fp/softfloat.hpp"
 #include "machine/status_regs.hpp"
-#include "reduce/reduction_circuit.hpp"
+#include "sim/mac_reduce.hpp"
 #include "telemetry/session.hpp"
 
 namespace xd::blas2 {
+
+namespace {
+
+/// One read port per bank per cycle: bank e % k holds element e of A at
+/// address e / k, so a full k-wide group issues every cycle.
+struct BankFeeder {
+  machine::ComputeNode& node;
+  const u64* xbits;
+  std::size_t rows, cols;
+  unsigned k;
+  const fp::Backend& be = fp::active_backend();
+  std::size_t row = 0, col = 0;
+
+  void tick() { node.tick(); }
+  bool more() const { return row < rows; }
+  void issue(u64 cycle, fp::MultiplierBank& mults) {
+    const std::size_t base = row * cols + col;
+    u64* products = mults.stage(cycle, col + k == cols);
+    for (unsigned lane = 0; lane < k; ++lane) {
+      const std::size_t e = base + lane;
+      products[lane] = be.mul(node.sram(e % k).read(e / k), xbits[col + lane]);
+    }
+    std::fill(products + k, products + mults.width(), fp::kPosZero);
+    col += k;
+    if (col == cols) {
+      col = 0;
+      ++row;
+    }
+  }
+};
+
+}  // namespace
 
 NodeGemvEngine::NodeGemvEngine(machine::ComputeNode& node,
                                const NodeGemvConfig& cfg)
@@ -91,73 +119,17 @@ MxvOutcome NodeGemvEngine::run(const std::vector<double>& a, std::size_t rows,
   }
 
   // --- Compute: one word per bank per cycle through the tree datapath. ----
-  std::vector<u64> xbits(cols);
-  std::memcpy(xbits.data(), x.data(), cols * sizeof(double));
-
-  fp::AdderTree tree(k, cfg_.adder_stages);
-  reduce::ReductionCircuit red(cfg_.adder_stages);
-  if (cfg_.telemetry && cfg_.telemetry->trace().enabled()) {
-    red.attach_trace(&cfg_.telemetry->trace());
-  }
-  const fp::Backend& be = fp::active_backend();
-  fp::MultiplierBank mults(k, cfg_.multiplier_stages);
-  constexpr std::size_t kRedFifoCap = 64;
-  // Headroom beyond the issue gate: in-flight multiplier/tree groups still
-  // land after the gate closes.
-  RingFifo<std::pair<u64, bool>> red_fifo(
-      kRedFifoCap + cfg_.multiplier_stages + tree.latency() + 2);
+  sim::TreeScratchLease scratch(
+      sim::mac_reduce_key(k, cfg_.adder_stages, cfg_.multiplier_stages));
+  scratch->xbits.resize(cols);
+  std::memcpy(scratch->xbits.data(), x.data(), cols * sizeof(double));
+  BankFeeder feed{node_, scratch->xbits.data(), rows, cols, k};
 
   MxvOutcome out;
   out.y.assign(rows, 0.0);
-  std::size_t row = 0, col = 0, rows_done = 0;
-  u64 stalls = 0;
-
-  const u64 budget = cycle + 500'000'000;
-  while (rows_done < rows) {
-    node_.tick();
-    ++cycle;
-    if (cycle > budget) throw SimError("node GEMV wedged");
-
-    if (auto g = mults.pop_ready(cycle)) {
-      tree.issue(g->products, g->last ? 1 : 0);
-    }
-    tree.tick();
-    if (auto r = tree.take_output()) red_fifo.push({r->bits, r->tag != 0});
-
-    std::optional<reduce::Input> rin;
-    if (!red_fifo.empty()) {
-      rin = reduce::Input{red_fifo.front().first, red_fifo.front().second};
-    }
-    const bool consumed = red.cycle(rin);
-    if (rin.has_value()) {
-      if (consumed) {
-        red_fifo.pop();
-      } else {
-        ++stalls;
-      }
-    }
-    if (auto r = red.take_result()) {
-      out.y.at(r->set_id) = fp::from_bits(r->bits);
-      ++rows_done;
-    }
-
-    if (row < rows && red_fifo.size() < kRedFifoCap) {
-      // One read port per bank per cycle: a full k-wide group every cycle.
-      const std::size_t base = row * cols + col;
-      u64* products = mults.stage(cycle, col + k == cols);
-      for (unsigned lane = 0; lane < k; ++lane) {
-        const std::size_t e = base + lane;
-        const u64 bits = node_.sram(e % k).read(e / k);
-        products[lane] = be.mul(bits, xbits[col + lane]);
-      }
-      std::fill(products + k, products + mults.width(), fp::kPosZero);
-      col += k;
-      if (col == cols) {
-        col = 0;
-        ++row;
-      }
-    }
-  }
+  const auto run =
+      sim::run_mac_reduce(*scratch, k, feed, out.y, cfg_.telemetry, cycle);
+  cycle = run.cycles;
 
   // --- Write y back to DRAM over the link (from-DRAM protocol only). ------
   if (from_dram) {
@@ -185,7 +157,7 @@ MxvOutcome NodeGemvEngine::run(const std::vector<double>& a, std::size_t rows,
   out.report.staging_cycles = staging_cycles;
   out.report.compute_cycles = cycle - staging_cycles;
   out.report.flops = 2ull * rows * cols;
-  out.report.stall_cycles = stalls + red.stats().stall_cycles;
+  out.report.stall_cycles = run.stall_cycles;
   out.report.sram_words = static_cast<double>(rows * cols);
   out.report.dram_words =
       from_dram ? static_cast<double>(rows * cols + cols + rows) : 0.0;
@@ -200,14 +172,9 @@ MxvOutcome NodeGemvEngine::run(const std::vector<double>& a, std::size_t rows,
       node_.sram(bank).publish(tel->metrics(), cat("mem.sram.bank", bank));
     }
     node_.dram().link().publish(tel->metrics(), "mem.dram.link");
-    tree.publish(tel->metrics(), "fpu.gemv.addtree");
-    red.publish(tel->metrics(), "reduce.gemv");
-    tel->counter("fpu.gemv.mul.ops").add(static_cast<u64>(rows) * cols);
-    tel->counter("blas2.gemv_node.runs").add(1);
-    tel->counter("blas2.gemv_node.cycles").add(cycle);
+    sim::publish_mac_reduce(*tel, *scratch, k, "gemv", "blas2.gemv_node", cycle,
+                            out.report.flops, run.stall_cycles);
     tel->counter("blas2.gemv_node.staging_cycles").add(staging_cycles);
-    tel->counter("blas2.gemv_node.flops").add(out.report.flops);
-    tel->counter("blas2.gemv_node.stall_cycles").add(out.report.stall_cycles);
   }
   return out;
 }

@@ -3,25 +3,51 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <optional>
 
-#include "common/ring_fifo.hpp"
-#include "fp/backend.hpp"
-#include "fp/softfloat.hpp"
 #include "mem/channel.hpp"
-#include "sim/scratch.hpp"
+#include "sim/mac_reduce.hpp"
 #include "telemetry/session.hpp"
 
 namespace xd::blas2 {
 
 namespace {
-constexpr std::size_t kRedFifoCap = 64;
-}
+
+/// Row-major A streamed k words per cycle against lane-striped local x;
+/// both are pre-converted bit panels, so a group is a straight mul_n.
+struct RowFeeder {
+  const u64* abits;
+  const u64* xbits;
+  std::size_t rows, cols;
+  unsigned k;
+  mem::Channel& channel;
+  const fp::Backend& be = fp::active_backend();
+  std::size_t row = 0, col = 0;
+  u64 streamed_words = 0;
+
+  void tick() { channel.tick(); }
+  bool more() const { return row < rows; }
+  void issue(u64 cycle, fp::MultiplierBank& mults) {
+    const std::size_t lanes = std::min<std::size_t>(k, cols - col);
+    const double words = static_cast<double>(lanes);  // only A streams
+    if (!channel.can_transfer(words)) return;
+    channel.transfer(words);
+    streamed_words += lanes;
+    u64* products = mults.stage(cycle, col + lanes == cols);
+    be.mul_n(abits + row * cols + col, xbits + col, products, lanes);
+    std::fill(products + lanes, products + mults.width(), fp::kPosZero);
+    col += lanes;
+    if (col == cols) {
+      col = 0;
+      ++row;
+    }
+  }
+};
+
+}  // namespace
 
 MxvTreeEngine::MxvTreeEngine(const MxvTreeConfig& cfg) : cfg_(cfg) {
-  require(cfg.k >= 1, "GEMV tree engine needs k >= 1");
-  require(cfg.k == 1 || is_pow2(cfg.k), "adder tree needs k to be a power of two");
-  require(cfg.mem_words_per_cycle > 0.0, "memory bandwidth must be positive");
+  sim::require_mac_reduce_config("GEMV tree engine", cfg.k,
+                                 cfg.mem_words_per_cycle);
 }
 
 u64 MxvTreeEngine::io_lower_bound_cycles(std::size_t rows, std::size_t cols) const {
@@ -40,117 +66,38 @@ MxvOutcome MxvTreeEngine::run(const std::vector<double>& a, std::size_t rows,
   mem::Channel channel(cfg_.mem_words_per_cycle, "mxv.mem",
                        std::max(cfg_.mem_words_per_cycle + 2.0,
                                 static_cast<double>(k)));
-  // Tree/circuit/bank scaffold from the per-thread scratch pool (reset, not
-  // reconstructed). FIFO headroom beyond the issue gate: in-flight
-  // multiplier/tree groups still land after the gate closes.
-  const fp::Backend& be = fp::active_backend();
-  const unsigned kk = std::max(2u, k);  // tree unused when k == 1
   sim::TreeScratchLease scratch(
-      {kk, cfg_.adder_stages, cfg_.multiplier_stages,
-       kRedFifoCap + cfg_.multiplier_stages +
-           static_cast<std::size_t>(log2_floor(kk)) * cfg_.adder_stages + 2,
-       &be});
-  fp::AdderTree& tree = scratch->tree;
-  reduce::ReductionCircuit& red = scratch->red;
-  fp::MultiplierBank& mults = scratch->mults;
-  RingFifo<std::pair<u64, bool>>& red_fifo = scratch->red_fifo;
-  if (cfg_.telemetry && cfg_.telemetry->trace().enabled()) {
-    red.attach_trace(&cfg_.telemetry->trace());
-  }
+      sim::mac_reduce_key(k, cfg_.adder_stages, cfg_.multiplier_stages));
 
   // Local x storage, lane-striped exactly as the paper describes; pre-convert
   // to bits once (preload phase, not streamed during compute). The A panel is
-  // pre-converted the same way so the lane loop is a straight mul_n. Both
-  // panels live in the scratch's reusable staging vectors.
+  // pre-converted the same way. Both panels live in the scratch's reusable
+  // staging vectors.
   scratch->xbits.resize(cols);
-  u64* const xbits = scratch->xbits.data();
-  std::memcpy(xbits, x.data(), cols * sizeof(double));
+  std::memcpy(scratch->xbits.data(), x.data(), cols * sizeof(double));
   scratch->abits.resize(a.size());
-  u64* const abits = scratch->abits.data();
-  std::memcpy(abits, a.data(), a.size() * sizeof(double));
+  std::memcpy(scratch->abits.data(), a.data(), a.size() * sizeof(double));
+  RowFeeder feed{scratch->abits.data(), scratch->xbits.data(), rows, cols, k,
+                 channel};
 
   MxvOutcome out;
   out.y.assign(rows, 0.0);
-
-  std::size_t row = 0, col = 0;
-  std::size_t rows_done = 0;
-  u64 streamed_words = 0;
-  u64 cycle = 0;
-  u64 stalls = 0;
-
-  const u64 budget = 200'000'000;
-  while (rows_done < rows) {
-    ++cycle;
-    if (cycle > budget) throw SimError("GEMV tree engine wedged");
-    channel.tick();
-
-    if (auto g = mults.pop_ready(cycle)) {
-      if (k == 1) {
-        red_fifo.push({g->products[0], g->last});
-      } else {
-        tree.issue(g->products, g->last ? 1 : 0);
-      }
-    }
-
-    if (k >= 2) {
-      tree.tick();
-      if (auto r = tree.take_output()) red_fifo.push({r->bits, r->tag != 0});
-    }
-
-    std::optional<reduce::Input> rin;
-    if (!red_fifo.empty()) {
-      rin = reduce::Input{red_fifo.front().first, red_fifo.front().second};
-    }
-    const bool consumed = red.cycle(rin);
-    if (rin.has_value()) {
-      if (consumed) {
-        red_fifo.pop();
-      } else {
-        ++stalls;
-      }
-    }
-    if (auto r = red.take_result()) {
-      out.y.at(r->set_id) = fp::from_bits(r->bits);
-      ++rows_done;
-    }
-
-    if (row < rows && red_fifo.size() < kRedFifoCap) {
-      const std::size_t remaining = cols - col;
-      const std::size_t lanes = std::min<std::size_t>(k, remaining);
-      const double words = static_cast<double>(lanes);  // only A streams
-      if (channel.can_transfer(words)) {
-        channel.transfer(words);
-        streamed_words += lanes;
-        u64* products = mults.stage(cycle, col + lanes == cols);
-        be.mul_n(abits + row * cols + col, xbits + col, products, lanes);
-        std::fill(products + lanes, products + mults.width(), fp::kPosZero);
-        col += lanes;
-        if (col == cols) {
-          col = 0;
-          ++row;
-        }
-      }
-    }
-  }
+  const auto run = sim::run_mac_reduce(*scratch, k, feed, out.y, cfg_.telemetry);
 
   out.report.design = cat("gemv-tree k=", std::to_string(k));
-  out.report.cycles = cycle;
-  out.report.compute_cycles = cycle;
+  out.report.cycles = run.cycles;
+  out.report.compute_cycles = run.cycles;
   out.report.flops = 2ull * rows * cols;
-  out.report.stall_cycles = stalls + red.stats().stall_cycles;
-  out.report.sram_words = static_cast<double>(streamed_words + rows);  // + y out
+  out.report.stall_cycles = run.stall_cycles;
+  out.report.sram_words =
+      static_cast<double>(feed.streamed_words + rows);  // + y out
   out.report.clock_mhz = cfg_.clock_mhz;
 
   if (telemetry::Session* tel = cfg_.telemetry) {
-    tel->phase("compute", cycle);
+    tel->phase("compute", run.cycles);
     channel.publish(tel->metrics(), "mem.gemv.sram");
-    if (k >= 2) tree.publish(tel->metrics(), "fpu.gemv.addtree");
-    red.publish(tel->metrics(), "reduce.gemv");
-    tel->counter("fpu.gemv.mul.ops").add(static_cast<u64>(rows) * cols);
-    tel->counter("blas2.gemv.runs").add(1);
-    tel->counter("blas2.gemv.cycles").add(cycle);
-    tel->counter("blas2.gemv.flops").add(out.report.flops);
-    tel->counter("blas2.gemv.stall_cycles").add(out.report.stall_cycles);
+    sim::publish_mac_reduce(*tel, *scratch, k, "gemv", "blas2.gemv", run.cycles,
+                            out.report.flops, run.stall_cycles);
     tel->histogram("blas2.gemv.row_words").observe(static_cast<double>(cols));
   }
   return out;

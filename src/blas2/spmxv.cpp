@@ -2,17 +2,63 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 
 #include "common/random.hpp"
-#include "common/ring_fifo.hpp"
-#include "fp/backend.hpp"
-#include "fp/softfloat.hpp"
 #include "mem/channel.hpp"
-#include "reduce/reduction_circuit.hpp"
+#include "sim/mac_reduce.hpp"
 #include "telemetry/session.hpp"
 
 namespace xd::blas2 {
+
+namespace {
+
+/// CRS gather: up to k (value, column) pairs of the current row per cycle,
+/// each multiplier looking its column up in the local bit copy of x.
+struct CrsFeeder {
+  const CrsMatrix& a;
+  const u64* vbits;
+  const u64* xbits;
+  unsigned k;
+  mem::Channel& channel;
+  const fp::Backend& be = fp::active_backend();
+  std::size_t row = 0, elem = 0;
+  u64 streamed_elements = 0;
+
+  void tick() { channel.tick(); }
+  bool more() const { return row < a.rows; }
+  void issue(u64 cycle, fp::MultiplierBank& mults) {
+    // An empty row still streams one element: the hardware injects a bubble
+    // so every row produces exactly one reduction set.
+    const std::size_t row_end = a.row_ptr[row + 1];
+    const std::size_t active = std::min<std::size_t>(k, row_end - elem);
+    const std::size_t streamed = std::max<std::size_t>(1, active);
+    if (!channel.can_transfer(static_cast<double>(streamed))) return;
+    channel.transfer(static_cast<double>(streamed));
+    streamed_elements += streamed;
+    const bool last = (elem + active == row_end);
+    u64* products = mults.stage(cycle, last);
+    const u64* vals = vbits + elem;
+    const std::size_t* cols = a.col_idx.data() + elem;
+    for (std::size_t lane = 0; lane < active; ++lane) {
+      products[lane] = be.mul(vals[lane], xbits[cols[lane]]);
+    }
+    // Pad idle lanes (short tail group, or the bubble of an empty row).
+    std::fill(products + active, products + mults.width(), fp::kPosZero);
+    elem += active;
+    if (last) ++row;  // elem == row_end == the next row's start
+  }
+};
+
+/// dst = the bit patterns of src. An empty src may have a null data(),
+/// which memcpy must never see.
+void load_bits(std::vector<u64>& dst, const std::vector<double>& src) {
+  dst.resize(src.size());
+  if (!src.empty()) {
+    std::memcpy(dst.data(), src.data(), src.size() * sizeof(double));
+  }
+}
+
+}  // namespace
 
 void CrsMatrix::validate() const {
   require(row_ptr.size() == rows + 1, "CRS: row_ptr must have rows+1 entries");
@@ -59,9 +105,8 @@ std::vector<double> CrsMatrix::to_dense() const {
 }
 
 SpmxvEngine::SpmxvEngine(const SpmxvConfig& cfg) : cfg_(cfg) {
-  require(cfg.k >= 1, "SpMXV engine needs k >= 1");
-  require(cfg.k == 1 || is_pow2(cfg.k), "adder tree needs k to be a power of two");
-  require(cfg.mem_elements_per_cycle > 0.0, "memory bandwidth must be positive");
+  sim::require_mac_reduce_config("SpMXV engine", cfg.k,
+                                 cfg.mem_elements_per_cycle);
 }
 
 MxvOutcome SpmxvEngine::run(const CrsMatrix& a, const std::vector<double>& x) {
@@ -73,123 +118,33 @@ MxvOutcome SpmxvEngine::run(const CrsMatrix& a, const std::vector<double>& x) {
   mem::Channel channel(cfg_.mem_elements_per_cycle, "spmxv.mem",
                        std::max(cfg_.mem_elements_per_cycle + 2.0,
                                 static_cast<double>(k)));
-  fp::AdderTree tree(std::max(2u, k), cfg_.adder_stages);
-  reduce::ReductionCircuit red(cfg_.adder_stages);
-  if (cfg_.telemetry && cfg_.telemetry->trace().enabled()) {
-    red.attach_trace(&cfg_.telemetry->trace());
-  }
-
+  sim::TreeScratchLease scratch(
+      sim::mac_reduce_key(k, cfg_.adder_stages, cfg_.multiplier_stages));
   // Pre-convert x and the CRS value array to bit patterns once, so the lane
   // loop is a pure gather-multiply (col_idx indexes xbits).
-  std::vector<u64> xbits(a.cols);
-  std::memcpy(xbits.data(), x.data(), a.cols * sizeof(double));
-  std::vector<u64> vbits(a.values.size());
-  std::memcpy(vbits.data(), a.values.data(), a.values.size() * sizeof(double));
-
-  const fp::Backend& be = fp::active_backend();
-  fp::MultiplierBank mults(std::max(2u, k), cfg_.multiplier_stages);
-  constexpr std::size_t kRedFifoCap = 64;
-  // Headroom beyond the issue gate: in-flight multiplier/tree groups still
-  // land after the gate closes.
-  RingFifo<std::pair<u64, bool>> red_fifo(
-      kRedFifoCap + cfg_.multiplier_stages + tree.latency() + 2);
+  load_bits(scratch->xbits, x);
+  load_bits(scratch->abits, a.values);
+  CrsFeeder feed{a, scratch->abits.data(), scratch->xbits.data(), k, channel};
 
   MxvOutcome out;
   out.y.assign(a.rows, 0.0);
-
-  std::size_t row = 0;
-  std::size_t elem = a.row_ptr.empty() ? 0 : a.row_ptr[0];
-  std::size_t rows_done = 0;
-  u64 streamed_elements = 0;
-  u64 cycle = 0;
-  u64 stalls = 0;
-
-  const u64 budget = 500'000'000;
-  while (rows_done < a.rows) {
-    ++cycle;
-    if (cycle > budget) throw SimError("SpMXV engine wedged");
-    channel.tick();
-
-    if (auto g = mults.pop_ready(cycle)) {
-      if (k == 1) {
-        red_fifo.push({g->products[0], g->last});
-      } else {
-        tree.issue(g->products, g->last ? 1 : 0);
-      }
-    }
-
-    if (k >= 2) {
-      tree.tick();
-      if (auto r = tree.take_output()) red_fifo.push({r->bits, r->tag != 0});
-    }
-
-    std::optional<reduce::Input> rin;
-    if (!red_fifo.empty()) {
-      rin = reduce::Input{red_fifo.front().first, red_fifo.front().second};
-    }
-    const bool consumed = red.cycle(rin);
-    if (rin.has_value()) {
-      if (consumed) {
-        red_fifo.pop();
-      } else {
-        ++stalls;
-      }
-    }
-    if (auto r = red.take_result()) {
-      out.y.at(r->set_id) = fp::from_bits(r->bits);
-      ++rows_done;
-    }
-
-    // Feed the next group of up to k nonzeros of the current row. An empty
-    // row contributes a single zero element (hardware injects a bubble so
-    // every row produces exactly one reduction set).
-    if (row < a.rows && red_fifo.size() < kRedFifoCap) {
-      const std::size_t row_end = a.row_ptr[row + 1];
-      const std::size_t remaining = row_end - elem;
-      const std::size_t lanes = std::max<std::size_t>(
-          1, std::min<std::size_t>(k, remaining));
-      const double elements = static_cast<double>(remaining == 0 ? 1 : lanes);
-      if (channel.can_transfer(elements)) {
-        channel.transfer(elements);
-        streamed_elements += static_cast<u64>(elements);
-        const std::size_t active = std::min<std::size_t>(k, remaining);
-        const bool last = (elem + active == row_end);
-        u64* products = mults.stage(cycle, last);
-        for (std::size_t lane = 0; lane < active; ++lane) {
-          products[lane] = be.mul(vbits[elem + lane], xbits[a.col_idx[elem + lane]]);
-        }
-        // Pad idle lanes (short tail group, or the placeholder group an
-        // empty row injects) with +0 so the tree sums them away.
-        std::fill(products + active, products + mults.width(), fp::kPosZero);
-        elem += active;
-        if (last) {
-          ++row;
-          if (row < a.rows) elem = a.row_ptr[row];
-        }
-      }
-    }
-  }
+  const auto run = sim::run_mac_reduce(*scratch, k, feed, out.y, cfg_.telemetry);
 
   out.report.design = cat("spmxv-tree k=", k);
-  out.report.cycles = cycle;
-  out.report.compute_cycles = cycle;
+  out.report.cycles = run.cycles;
+  out.report.compute_cycles = run.cycles;
   out.report.flops = 2ull * a.nnz();
-  out.report.stall_cycles = stalls + red.stats().stall_cycles;
+  out.report.stall_cycles = run.stall_cycles;
   // Each CRS element is a value word + an index word; y streams out too.
-  out.report.sram_words = 2.0 * static_cast<double>(streamed_elements) +
+  out.report.sram_words = 2.0 * static_cast<double>(feed.streamed_elements) +
                           static_cast<double>(a.rows);
   out.report.clock_mhz = cfg_.clock_mhz;
 
   if (telemetry::Session* tel = cfg_.telemetry) {
-    tel->phase("compute", cycle);
+    tel->phase("compute", run.cycles);
     channel.publish(tel->metrics(), "mem.spmxv.sram");
-    if (k >= 2) tree.publish(tel->metrics(), "fpu.spmxv.addtree");
-    red.publish(tel->metrics(), "reduce.spmxv");
-    tel->counter("fpu.spmxv.mul.ops").add(a.nnz());
-    tel->counter("blas2.spmxv.runs").add(1);
-    tel->counter("blas2.spmxv.cycles").add(cycle);
-    tel->counter("blas2.spmxv.flops").add(out.report.flops);
-    tel->counter("blas2.spmxv.stall_cycles").add(out.report.stall_cycles);
+    sim::publish_mac_reduce(*tel, *scratch, k, "spmxv", "blas2.spmxv",
+                            run.cycles, out.report.flops, run.stall_cycles);
     auto row_nnz = tel->histogram("blas2.spmxv.row_nnz");
     for (std::size_t i = 0; i < a.rows; ++i) {
       row_nnz.observe(static_cast<double>(a.row_ptr[i + 1] - a.row_ptr[i]));

@@ -6,8 +6,9 @@ namespace xd::sim {
 
 namespace {
 
-/// Scaffolds cached per thread. Two engines x a few distinct plan
-/// geometries is the realistic working set; a workload cycling through
+/// Scaffolds cached per thread. The key holds geometry, not the engine, so
+/// the realistic working set is a few distinct plan geometries shared by
+/// every tree engine on the thread; a workload cycling through
 /// more than kCacheCap geometries on one thread falls back to
 /// construct-per-run for the overflow, never unbounded memory.
 constexpr std::size_t kCacheCap = 8;

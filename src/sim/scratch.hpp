@@ -1,8 +1,8 @@
 // Recycled per-thread simulation scaffolds for the tree-reduction engines.
 //
-// The dot and row-major GEMV engines share one hardware scaffold: a
-// multiplier bank feeding an adder tree, a small FIFO, and the reduction
-// circuit. Constructing that scaffold inside every run() costs ~60 heap
+// The dot, tree-GEMV, SpMXV and on-node GEMV engines share one hardware
+// scaffold, driven by sim::run_mac_reduce: a multiplier bank feeding an
+// adder tree, a small FIFO, and the reduction circuit. Constructing that scaffold inside every run() costs ~60 heap
 // allocations (the reduction circuit alone owns 2*alpha row buffers of
 // alpha words each) — for a tiny op that construction dominated the whole
 // execution. This pool keeps a few fully-constructed scaffolds per thread

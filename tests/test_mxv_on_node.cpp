@@ -54,6 +54,28 @@ TEST(NodeGemv, BitIdenticalToChannelModelEngine) {
   EXPECT_EQ(yn.y, yc.y);
 }
 
+TEST(NodeGemv, SingleBankBypassesTheAdderTree) {
+  // One bank feeds one multiplier straight into the reduction circuit, the
+  // same datapath as the channel engine at k = 1 and 1 word/cycle.
+  Rng rng(4);
+  const std::size_t n = 16;
+  const auto a = rng.matrix(n, n);
+  const auto x = rng.vector(n);
+
+  machine::NodeConfig cfg = xd1_node();
+  cfg.sram_banks = 1;
+  machine::ComputeNode node(cfg);
+  const auto yn = NodeGemvEngine(node).run(a, n, n, x, false);
+
+  blas2::MxvTreeConfig tc;
+  tc.k = 1;
+  tc.mem_words_per_cycle = 1.0;
+  const auto yc = blas2::MxvTreeEngine(tc).run(a, n, n, x);
+  EXPECT_EQ(yn.y, yc.y);
+  EXPECT_EQ(yn.report.cycles, yc.report.cycles);
+  EXPECT_EQ(yn.report.cycles, 503u);
+}
+
 TEST(NodeGemv, StagingDominatesFromDram) {
   // The Table 4 split at test scale: staging ~ n^2 words at ~1 word/cycle vs
   // compute at n^2/4 cycles -> staging is ~80% of the total.

@@ -119,6 +119,17 @@ TEST(Spmxv, EmptyRowsYieldZero) {
   EXPECT_EQ(out.y[1], 0.0);
   EXPECT_EQ(out.y[2], 0.0);
   EXPECT_EQ(out.y[3], 12.0);
+
+  // No nonzeros at all: every row is a bubble, and the empty value array
+  // (whose data() may be null) is never copied.
+  CrsMatrix none;
+  none.rows = 3;
+  none.cols = 3;
+  none.row_ptr = {0, 0, 0, 0};
+  none.validate();
+  const auto zero = engine.run(none, {1.0, 2.0, 3.0});
+  EXPECT_EQ(zero.y, std::vector<double>(3, 0.0));
+  EXPECT_EQ(zero.report.cycles, 44u);
 }
 
 TEST(Spmxv, SingleElementRows) {
