@@ -3,21 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
-#include <iostream>
-#include <sstream>
-#include <string>
 
-#include "blas1/dot_engine.hpp"
 #include "blas2/blocking.hpp"
 #include "blas2/mxv_col.hpp"
-#include "blas2/mxv_on_node.hpp"
 #include "blas2/mxv_tree.hpp"
-#include "blas2/spmxv.hpp"
 #include "common/random.hpp"
 #include "host/reference.hpp"
-#include "machine/node.hpp"
-#include "telemetry/session.hpp"
 
 using namespace xd;
 using blas2::MxvColConfig;
@@ -228,209 +219,3 @@ TEST(MxvEngines, InvalidInputsRejected) {
   bad.k = 6;
   EXPECT_THROW(MxvTreeEngine{bad}, ConfigError);
 }
-
-// ---- characterisation of the multiply-tree-reduce engines -----------------
-//
-// Dot, tree GEMV, SpMXV and on-node GEMV share one datapath (k multipliers,
-// a (k-1)-adder tree, the Sec 4.3 reduction circuit) and differ only in how
-// operands are fed. This table pins, per engine and lane count, the exact
-// simulated cycles, stall cycles, SRAM words, an FNV-1a hash of the result
-// bits and an FNV-1a hash of the sorted metric names registered on an
-// attached telemetry session. Any change here is a change of simulated
-// behaviour or of the exported metric vocabulary, never a refactor.
-
-namespace {
-
-enum class Datapath { Dot, Tree, Spmxv, Node };
-
-struct MacCase {
-  const char* name;
-  Datapath engine;
-  unsigned k;   ///< multipliers; on-node: the node's SRAM bank count
-  double rate;  ///< words (SpMXV: elements) per cycle; unused on-node
-  int input;    ///< SpMXV: 0 power-law, 1 empty rows; on-node: 1 from DRAM
-  u64 cycles;
-  u64 stall_cycles;
-  double sram_words;
-  u64 value_hash;
-  u64 names_hash;
-};
-
-constexpr u64 kFnvBasis = 1469598103934665603ull;
-
-u64 fnv(u64 h, const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-struct MacRun {
-  std::vector<double> values;
-  host::PerfReport report;
-  std::vector<std::string> names;
-};
-
-MacRun run_mac_case(const MacCase& c) {
-  constexpr std::size_t rows = 13, cols = 24;
-  Rng rng(4100 + c.k);
-  telemetry::Session tel;
-  MacRun r;
-  switch (c.engine) {
-    case Datapath::Dot: {
-      std::vector<std::vector<double>> us, vs;
-      for (std::size_t len : {24, 7, 1, 33}) {
-        us.push_back(rng.vector(len));
-        vs.push_back(rng.vector(len));
-      }
-      blas1::DotConfig cfg;
-      cfg.k = c.k;
-      cfg.mem_words_per_cycle = c.rate;
-      cfg.telemetry = &tel;
-      auto out = blas1::DotEngine(cfg).run(us, vs);
-      r.values = std::move(out.results);
-      r.report = out.report;
-      break;
-    }
-    case Datapath::Tree: {
-      const auto a = rng.matrix(rows, cols);
-      const auto x = rng.vector(cols);
-      MxvTreeConfig cfg;
-      cfg.k = c.k;
-      cfg.mem_words_per_cycle = c.rate;
-      cfg.telemetry = &tel;
-      auto out = MxvTreeEngine(cfg).run(a, rows, cols, x);
-      r.values = std::move(out.y);
-      r.report = out.report;
-      break;
-    }
-    case Datapath::Spmxv: {
-      blas2::CrsMatrix m;
-      if (c.input == 0) {
-        m = blas2::make_power_law(40, 48, 20, 4200);
-      } else {
-        auto dense = rng.matrix(9, 16);
-        for (std::size_t row : {0, 3, 4, 8}) {
-          std::fill_n(dense.begin() + static_cast<long>(row * 16), 16, 0.0);
-        }
-        m = blas2::CrsMatrix::from_dense(dense, 9, 16);
-      }
-      const auto x = rng.vector(m.cols);
-      blas2::SpmxvConfig cfg;
-      cfg.k = c.k;
-      cfg.mem_elements_per_cycle = c.rate;
-      cfg.telemetry = &tel;
-      auto out = blas2::SpmxvEngine(cfg).run(m, x);
-      r.values = std::move(out.y);
-      r.report = out.report;
-      break;
-    }
-    case Datapath::Node: {
-      const auto a = rng.matrix(rows, cols);
-      const auto x = rng.vector(cols);
-      machine::NodeConfig ncfg;
-      ncfg.sram_banks = c.k;
-      ncfg.sram_bank_words = 1024;
-      ncfg.dram_words = 4096;
-      machine::ComputeNode node(ncfg);
-      blas2::NodeGemvConfig cfg;
-      cfg.telemetry = &tel;
-      auto out = blas2::NodeGemvEngine(node, cfg).run(a, rows, cols, x,
-                                                      c.input == 1);
-      r.values = std::move(out.y);
-      r.report = out.report;
-      break;
-    }
-  }
-  r.names = tel.metrics().names();
-  return r;
-}
-
-class MacReduceEngines : public ::testing::TestWithParam<MacCase> {};
-
-TEST_P(MacReduceEngines, PinnedTimingBitsAndMetricNames) {
-  const MacCase& c = GetParam();
-  const MacRun r = run_mac_case(c);
-
-  u64 value_hash = kFnvBasis;
-  for (double v : r.values) value_hash = fnv(value_hash, &v, sizeof v);
-  u64 names_hash = kFnvBasis;
-  std::ostringstream names;
-  for (const auto& n : r.names) {
-    names_hash = fnv(names_hash, n.data(), n.size() + 1);  // + terminator
-    names << "\n  " << n;
-  }
-
-  EXPECT_EQ(r.report.cycles, c.cycles);
-  EXPECT_EQ(r.report.stall_cycles, c.stall_cycles);
-  EXPECT_EQ(r.report.sram_words, c.sram_words);
-  EXPECT_EQ(value_hash, c.value_hash);
-  EXPECT_EQ(names_hash, c.names_hash) << "registered metrics:" << names.str();
-  // Paste-ready row for a deliberate re-recording.
-  if (HasFailure()) {
-    std::cout << "    {\"" << c.name << "\", ..., " << r.report.cycles << ", "
-              << r.report.stall_cycles << ", " << r.report.sram_words << ", "
-              << value_hash << "ull, " << names_hash << "ull},\n";
-  }
-}
-
-using D = Datapath;
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, MacReduceEngines,
-    ::testing::Values(
-        MacCase{"dot_k1", D::Dot, 1, 4.0, 0,
-                147, 0, 130, 15336414720051560159ull, 17289995028322767245ull},
-        MacCase{"dot_k2", D::Dot, 2, 4.0, 0,
-                128, 0, 130, 13991777190187202149ull, 13815055242430039946ull},
-        MacCase{"dot_k4", D::Dot, 4, 4.0, 0,
-                152, 0, 130, 805235653136157595ull, 13815055242430039946ull},
-        MacCase{"dot_k8", D::Dot, 8, 4.0, 0,
-                136, 0, 130, 13252248898606816939ull, 13815055242430039946ull},
-        MacCase{"dot_k2_bw0_75", D::Dot, 2, 0.75, 0,
-                282, 0, 130, 16766138912306447596ull, 13815055242430039946ull},
-        MacCase{"dot_k4_bw1_5", D::Dot, 4, 1.5, 0,
-                193, 0, 130, 805235653136157595ull, 13815055242430039946ull},
-        MacCase{"tree_k1", D::Tree, 1, 4.0, 0,
-                507, 0, 325, 8438446907408857693ull, 16806921353452269295ull},
-        MacCase{"tree_k2", D::Tree, 2, 4.0, 0,
-                338, 0, 325, 259281179735742255ull, 9087595390167945390ull},
-        MacCase{"tree_k4", D::Tree, 4, 4.0, 0,
-                196, 0, 325, 2650390699663267952ull, 9087595390167945390ull},
-        MacCase{"tree_k8", D::Tree, 8, 4.0, 0,
-                187, 0, 325, 6539448610177134920ull, 9087595390167945390ull},
-        MacCase{"tree_k4_bw0_75", D::Tree, 4, 0.75, 0,
-                552, 0, 325, 5402131528119357978ull, 9087595390167945390ull},
-        MacCase{"tree_k8_bw1_5", D::Tree, 8, 1.5, 0,
-                316, 0, 325, 6539448610177134920ull, 9087595390167945390ull},
-        MacCase{"spmxv_k1", D::Spmxv, 1, 2.0, 0,
-                306, 72, 356, 15883775869388561690ull, 13994417246944325201ull},
-        MacCase{"spmxv_k2", D::Spmxv, 2, 2.0, 0,
-                237, 70, 356, 11525300210180845500ull, 14806596228141251297ull},
-        MacCase{"spmxv_k4", D::Spmxv, 4, 2.0, 0,
-                180, 68, 356, 13758346278700391185ull, 14806596228141251297ull},
-        MacCase{"spmxv_k8", D::Spmxv, 8, 2.0, 0,
-                163, 4, 356, 2302229268951047956ull, 14806596228141251297ull},
-        MacCase{"spmxv_k4_bw0_75", D::Spmxv, 4, 0.75, 0,
-                277, 0, 356, 13758346278700391185ull, 14806596228141251297ull},
-        MacCase{"spmxv_k2_bw1_5", D::Spmxv, 2, 1.5, 0,
-                246, 64, 356, 11525300210180845500ull, 14806596228141251297ull},
-        MacCase{"spmxv_empty_k1", D::Spmxv, 1, 2.0, 1,
-                187, 0, 177, 3285119828091951722ull, 13994417246944325201ull},
-        MacCase{"spmxv_empty_k4", D::Spmxv, 4, 2.0, 1,
-                117, 0, 177, 170824667954333864ull, 14806596228141251297ull},
-        MacCase{"node_k2", D::Node, 2, 0, 0,
-                338, 0, 312, 259281179735742255ull, 14424159349342752708ull},
-        MacCase{"node_k4", D::Node, 4, 0, 0,
-                196, 0, 312, 2650390699663267952ull, 3282100533540946750ull},
-        MacCase{"node_k8", D::Node, 8, 0, 0,
-                132, 0, 312, 6539448610177134920ull, 12157624434564741806ull},
-        MacCase{"node_k4_dram", D::Node, 4, 0, 1,
-                344, 0, 312, 2650390699663267952ull, 3282100533540946750ull}),
-    [](const ::testing::TestParamInfo<MacCase>& info) {
-      return std::string(info.param.name);
-    });
-
-}  // namespace
