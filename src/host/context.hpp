@@ -40,10 +40,6 @@
 
 namespace xd::host {
 
-/// Deprecated alias: Context::dot now returns the op-layer DotResult;
-/// DotCall is kept so pre-runtime code compiles unchanged.
-using DotCall = DotResult;
-
 class Context {
  public:
   Context() : Context(ContextConfig{}) {}

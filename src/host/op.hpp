@@ -48,8 +48,7 @@ bool op_kind_from_name(std::string_view name, OpKind& out);
 bool placement_from_name(std::string_view name, Placement& out);
 bool gemv_arch_from_name(std::string_view name, GemvArch& out);
 
-/// Result of a single dot product. (`DotCall` in context.hpp is the
-/// deprecated alias kept for source compatibility.)
+/// Result of a single dot product.
 struct DotResult {
   double value = 0.0;
   PerfReport report;

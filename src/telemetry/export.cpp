@@ -122,7 +122,6 @@ std::string spans_to_json(const SpanRecorder& spans) {
     w.kv("name", s.name);
     w.kv("begin", s.begin);
     w.kv("end", s.end);
-    w.kv("depth", s.depth);
     w.kv("lane", s.lane);
     w.end_object();
   }
@@ -179,7 +178,6 @@ std::string chrome_trace_json(const Session& session, double clock_mhz,
     w.key("args").begin_object();
     w.kv("begin_cycle", s.begin);
     w.kv("end_cycle", s.end);
-    w.kv("depth", s.depth);
     w.kv("lane", s.lane);
     w.end_object();
     w.end_object();

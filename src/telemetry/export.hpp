@@ -28,7 +28,7 @@ std::string metrics_to_csv(const MetricsRegistry& reg);
 std::string report_to_json(const host::PerfReport& r);
 
 /// Spans only (no trace events), as a JSON array of
-/// {name, begin, end, depth, lane}.
+/// {name, begin, end, lane}.
 std::string spans_to_json(const SpanRecorder& spans);
 
 /// Chrome trace_event export: spans become complete ("X") events, retained

@@ -4,43 +4,16 @@
 
 namespace xd::telemetry {
 
-void SpanRecorder::begin_at(std::string_view name, u64 cycle) {
-  Span s;
-  s.name = std::string(name);
-  s.begin = cycle;
-  s.depth = static_cast<unsigned>(open_.size());
-  open_.push_back(std::move(s));
-  set_cursor(cycle);
-}
-
-void SpanRecorder::end_at(u64 cycle) {
-  if (open_.empty()) throw SimError("SpanRecorder::end with no open span");
-  Span s = std::move(open_.back());
-  open_.pop_back();
-  if (cycle < s.begin) {
-    throw SimError(cat("span '", s.name, "' ends at cycle ", cycle,
-                       " before its begin ", s.begin));
-  }
-  s.end = cycle;
-  done_.push_back(std::move(s));
-  set_cursor(cycle);
-}
-
 void SpanRecorder::phase(std::string_view name, u64 cycles) {
   Span s;
   s.name = std::string(name);
   s.begin = cursor_;
   s.end = cursor_ + cycles;
-  s.depth = static_cast<unsigned>(open_.size());
   cursor_ = s.end;
   done_.push_back(std::move(s));
 }
 
 void SpanRecorder::merge_from(const SpanRecorder& other, unsigned lane) {
-  if (!other.open_.empty()) {
-    throw SimError(cat("SpanRecorder::merge_from: source still has ",
-                       other.open_.size(), " open span(s)"));
-  }
   const u64 offset = lane_cursor(lane);
   for (const Span& s : other.done_) {
     Span merged = s;
@@ -51,11 +24,10 @@ void SpanRecorder::merge_from(const SpanRecorder& other, unsigned lane) {
   }
   const u64 advanced = offset + other.cursor_;
   if (lane == 0) {
-    set_cursor(advanced);
+    cursor_ = advanced;
   } else {
     if (lane_cursors_.size() < lane) lane_cursors_.resize(lane, 0);
-    u64& cur = lane_cursors_[lane - 1];
-    cur = advanced < cur ? cur : advanced;
+    lane_cursors_[lane - 1] = advanced;
   }
 }
 
@@ -68,8 +40,7 @@ std::vector<Span> SpanRecorder::spans() const {
   std::vector<Span> out = done_;
   std::stable_sort(out.begin(), out.end(), [](const Span& a, const Span& b) {
     if (a.begin != b.begin) return a.begin < b.begin;
-    if (a.lane != b.lane) return a.lane < b.lane;
-    return a.depth < b.depth;
+    return a.lane < b.lane;
   });
   return out;
 }
@@ -84,7 +55,6 @@ u64 SpanRecorder::total_cycles(std::string_view name) const {
 
 void SpanRecorder::clear() {
   done_.clear();
-  open_.clear();
   cursor_ = 0;
   lane_cursors_.clear();
 }

@@ -1,15 +1,15 @@
-// Phase spans: named, nestable [begin, end) cycle intervals over a run.
+// Phase spans: named [begin, end) cycle intervals over a run.
 //
 // The paper's experiments decompose every latency into phases (Table 4's
 // staging-vs-compute split); spans are how the simulator records that
-// decomposition. Two recording styles share one timeline:
+// decomposition. Engines and the host layer know each phase's length once
+// their cycle loop or traffic model has run, so spans are only ever
+// appended whole:
 //
-//   - begin()/end(): open/close a span at an explicit cycle (used by
-//     sim::Engine and the cycle-loop engines, which know "now"). Opens nest:
-//     a span begun while another is open becomes its child (depth + 1).
 //   - phase(name, cycles): append a closed span of known length at the
-//     cursor and advance it (used by the analytic engines and the host
-//     layer, which derive phase lengths from traffic models).
+//     cursor and advance it.
+//   - merge_from(other, lane): splice another recorder's spans onto a lane,
+//     the way the runtime folds worker shards into the caller's session.
 //
 // The cursor tracks the end of the timeline so sequentially recorded phases
 // tile it without gaps; total_cycles(name) sums all spans of one name, which
@@ -27,8 +27,7 @@ namespace xd::telemetry {
 struct Span {
   std::string name;
   u64 begin = 0;
-  u64 end = 0;        ///< exclusive
-  unsigned depth = 0; ///< nesting level (0 = top)
+  u64 end = 0;  ///< exclusive
   /// Which execution lane recorded the span: 0 is the recorder's own
   /// timeline (the synchronous path); merged worker shards land on lane
   /// worker-id + 1. The Chrome exporter renders one track per lane, so a
@@ -39,71 +38,37 @@ struct Span {
 
 class SpanRecorder {
  public:
-  /// Open a span at the cursor (or an explicit cycle). Nested.
-  void begin(std::string_view name) { begin_at(name, cursor_); }
-  void begin_at(std::string_view name, u64 cycle);
-
-  /// Close the innermost open span at the cursor (or an explicit cycle).
-  /// Throws SimError when no span is open or `cycle` precedes its begin.
-  void end() { end_at(cursor_); }
-  void end_at(u64 cycle);
-
   /// Append a closed span of `cycles` at the cursor and advance it.
   void phase(std::string_view name, u64 cycles);
 
-  /// Append every completed span of `other` onto `lane`'s timeline. Each
+  /// Append every span of `other` onto `lane`'s timeline. Each
   /// incoming span keeps its shape but is offset by the lane's cursor, so
   /// successive merges tile the lane the way sequential phase() calls tile
   /// lane 0; the lane cursor then advances past the merged run. Lane 0 is
   /// this recorder's own timeline (merging there is equivalent to having
-  /// recorded the spans directly). Throws SimError if `other` still has
-  /// open spans — a shard must be fully closed before it is merged.
+  /// recorded the spans directly).
   void merge_from(const SpanRecorder& other, unsigned lane);
 
   /// End of the recorded timeline; phases append here.
   u64 cursor() const { return cursor_; }
-  void set_cursor(u64 cycle) { cursor_ = cycle < cursor_ ? cursor_ : cycle; }
 
   /// End of a merge lane's timeline (lane 0 == cursor()).
   u64 lane_cursor(unsigned lane) const;
 
-  unsigned open_depth() const { return static_cast<unsigned>(open_.size()); }
-
-  /// Completed spans, ordered by (begin, depth) — timeline order.
+  /// All spans, ordered by (begin, lane) — timeline order.
   std::vector<Span> spans() const;
 
-  /// Sum of cycles over completed spans named `name`.
+  /// Sum of cycles over the spans named `name`.
   u64 total_cycles(std::string_view name) const;
 
   std::size_t completed() const { return done_.size(); }
-  bool empty() const { return done_.empty() && open_.empty(); }
+  bool empty() const { return done_.empty(); }
   void clear();
 
  private:
   std::vector<Span> done_;
-  std::vector<Span> open_;  ///< stack of currently open spans
   u64 cursor_ = 0;
   std::vector<u64> lane_cursors_;  ///< per-lane merge cursors, lanes >= 1
-};
-
-/// RAII helper: opens a span on construction, closes it on destruction with
-/// the cycle read from a caller-supplied reference (the engine's loop
-/// counter). Null recorder → no-op.
-class ScopedSpan {
- public:
-  ScopedSpan(SpanRecorder* rec, std::string_view name, const u64& cycle_ref)
-      : rec_(rec), cycle_(cycle_ref) {
-    if (rec_) rec_->begin_at(name, cycle_ref);
-  }
-  ~ScopedSpan() {
-    if (rec_) rec_->end_at(cycle_);
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  SpanRecorder* rec_;
-  const u64& cycle_;
 };
 
 }  // namespace xd::telemetry

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <type_traits>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -493,9 +492,6 @@ TEST(Runtime, ContextFacadeSharesTheRuntime) {
   // The facade and the runtime share one plan cache.
   EXPECT_GE(ctx.runtime().plan_cache().hits(), 1u);
 }
-
-// DotCall is the deprecated source-compatibility alias for DotResult.
-static_assert(std::is_same_v<host::DotCall, host::DotResult>);
 
 TEST(ParallelFor, CoversRangeExactlyOnce) {
   for (std::size_t n : {0u, 1u, 7u, 64u, 1000u}) {

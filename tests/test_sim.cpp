@@ -1,137 +1,16 @@
-// Simulation-kernel semantics: registered visibility, FIFO bounds, engine
-// stepping and cycle budgets.
+// sim::Trace, the cycle-level event sink that the reduction circuit and
+// telemetry sessions emit into: ring-buffer retention, filtering and
+// rendering, and the reduction circuit's lifecycle events.
 #include <gtest/gtest.h>
 
-#include "sim/component.hpp"
-#include "sim/engine.hpp"
-
-using namespace xd;
-using sim::Component;
-using sim::Cycle;
-using sim::Engine;
-using sim::Fifo;
-using sim::Reg;
-
-namespace {
-
-/// Counts its own invocations and optionally stays busy for a while.
-class Counter final : public Component {
- public:
-  explicit Counter(u64 busy_until = 0)
-      : Component("counter"), busy_until_(busy_until) {}
-  void cycle(Cycle now) override {
-    last_now_ = now;
-    ++calls_;
-  }
-  bool busy() const override { return calls_ < busy_until_; }
-
-  u64 calls() const { return calls_; }
-  Cycle last_now() const { return last_now_; }
-
- private:
-  u64 busy_until_;
-  u64 calls_ = 0;
-  Cycle last_now_ = 0;
-};
-
-}  // namespace
-
-TEST(Reg, WriteVisibleAfterCommitOnly) {
-  Reg<int> r(5);
-  EXPECT_EQ(r.read(), 5);
-  r.write(9);
-  EXPECT_EQ(r.read(), 5);  // flip-flop: not yet visible
-  r.commit();
-  EXPECT_EQ(r.read(), 9);
-  r.commit();  // no write this cycle: holds value
-  EXPECT_EQ(r.read(), 9);
-}
-
-TEST(Fifo, RegisteredVisibility) {
-  Fifo<int> f(4, "t");
-  f.push(1);
-  EXPECT_FALSE(f.can_pop());  // pushed this cycle, visible next
-  EXPECT_EQ(f.occupancy(), 1u);
-  f.commit();
-  ASSERT_TRUE(f.can_pop());
-  EXPECT_EQ(f.front(), 1);
-  EXPECT_EQ(f.pop(), 1);
-  EXPECT_FALSE(f.can_pop());
-}
-
-TEST(Fifo, CapacityEnforced) {
-  Fifo<int> f(2, "t");
-  f.push(1);
-  f.push(2);
-  EXPECT_FALSE(f.can_push());
-  EXPECT_THROW(f.push(3), SimError);
-  f.commit();
-  EXPECT_EQ(f.pop(), 1);
-  EXPECT_TRUE(f.can_push());
-}
-
-TEST(Fifo, UnderflowThrows) {
-  Fifo<int> f(2, "t");
-  EXPECT_THROW(f.pop(), SimError);
-  EXPECT_THROW(f.front(), SimError);
-}
-
-TEST(Fifo, PeakOccupancyTracked) {
-  Fifo<int> f(0, "t");  // unbounded
-  for (int i = 0; i < 7; ++i) f.push(i);
-  f.commit();
-  for (int i = 0; i < 3; ++i) f.pop();
-  f.commit();
-  EXPECT_EQ(f.peak_occupancy(), 7u);
-}
-
-TEST(Engine, StepsComponentsInOrderWithSharedNow) {
-  Engine e;
-  Counter a, b;
-  e.add(a);
-  e.add(b);
-  e.run(5);
-  EXPECT_EQ(a.calls(), 5u);
-  EXPECT_EQ(b.calls(), 5u);
-  EXPECT_EQ(a.last_now(), 4u);
-  EXPECT_EQ(e.now(), 5u);
-}
-
-TEST(Engine, RunUntilIdleStopsWhenAllIdle) {
-  Engine e;
-  Counter a(3), b(7);
-  e.add(a);
-  e.add(b);
-  const Cycle used = e.run_until_idle(100);
-  EXPECT_EQ(used, 7u);
-}
-
-TEST(Engine, BudgetExceededThrows) {
-  Engine e;
-  Counter a(1000);
-  e.add(a);
-  EXPECT_THROW(e.run_until_idle(10), SimError);
-}
-
-TEST(Engine, CommitHooksRunAfterComponents) {
-  Engine e;
-  Counter a;
-  Reg<u64> r(0);
-  e.add(a);
-  e.add_commit([&] { r.commit(); });
-  // A component writing the reg each cycle sees last cycle's value.
-  // (Emulated here by interleaving manually.)
-  r.write(1);
-  e.step();
-  EXPECT_EQ(r.read(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Trace infrastructure.
+#include <optional>
+#include <string>
 
 #include "fp/softfloat.hpp"
 #include "reduce/reduction_circuit.hpp"
 #include "sim/trace.hpp"
+
+using namespace xd;
 
 TEST(Trace, RingBufferCapsRetention) {
   sim::Trace t(4);

@@ -104,53 +104,6 @@ TEST(Spans, PhasesTileTheTimeline) {
   EXPECT_EQ(spans[2].end, 400u);
 }
 
-TEST(Spans, NestingAssignsDepths) {
-  SpanRecorder rec;
-  rec.begin_at("run", 0);
-  rec.begin_at("staging", 0);
-  rec.end_at(100);
-  rec.begin_at("compute", 100);
-  rec.begin_at("drain", 350);
-  rec.end_at(400);
-  rec.end_at(400);
-  rec.end_at(400);
-  EXPECT_EQ(rec.open_depth(), 0u);
-
-  const auto spans = rec.spans();
-  ASSERT_EQ(spans.size(), 4u);
-  // Timeline order: (begin, depth).
-  EXPECT_EQ(spans[0].name, "run");
-  EXPECT_EQ(spans[0].depth, 0u);
-  EXPECT_EQ(spans[1].name, "staging");
-  EXPECT_EQ(spans[1].depth, 1u);
-  EXPECT_EQ(spans[2].name, "compute");
-  EXPECT_EQ(spans[2].depth, 1u);
-  EXPECT_EQ(spans[3].name, "drain");
-  EXPECT_EQ(spans[3].depth, 2u);
-  EXPECT_EQ(rec.total_cycles("run"), 400u);
-}
-
-TEST(Spans, ErrorsOnMisuse) {
-  SpanRecorder rec;
-  EXPECT_THROW(rec.end_at(10), SimError);  // nothing open
-  rec.begin_at("x", 100);
-  EXPECT_THROW(rec.end_at(50), SimError);  // end precedes begin
-}
-
-TEST(Spans, ScopedSpanClosesOnDestruction) {
-  SpanRecorder rec;
-  u64 cycle = 0;
-  {
-    ScopedSpan s(&rec, "compute", cycle);
-    cycle = 123;
-  }
-  const auto spans = rec.spans();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].end, 123u);
-  // Null recorder is a no-op.
-  ScopedSpan noop(nullptr, "x", cycle);
-}
-
 // ---- JSON ------------------------------------------------------------------
 
 TEST(Json, EscapeAndNumbers) {
@@ -277,7 +230,7 @@ TEST(Export, SpansJson) {
   const std::string json = spans_to_json(rec);
   EXPECT_TRUE(json_validate(json)) << json;
   EXPECT_EQ(json,
-            R"([{"name":"compute","begin":0,"end":10,"depth":0,"lane":0}])");
+            R"([{"name":"compute","begin":0,"end":10,"lane":0}])");
 }
 
 // ---- span lane merging -----------------------------------------------------
@@ -301,7 +254,7 @@ TEST(SpanMerge, ShardsLandOnTheirLanesAndTile) {
 
   const auto spans = main.spans();
   ASSERT_EQ(spans.size(), 4u);
-  // (begin, lane, depth) order: lane-0 staging, then the three merged runs.
+  // (begin, lane) order: lane-0 staging, then the three merged runs.
   EXPECT_EQ(spans[0].name, "staging");
   EXPECT_EQ(spans[0].lane, 0u);
   EXPECT_EQ(spans[1].lane, 1u);
@@ -327,10 +280,6 @@ TEST(SpanMerge, Lane0EquivalentToDirectRecordingAndOpenSpansThrow) {
   main.merge_from(shard, 0);
   EXPECT_EQ(spans_to_json(main), spans_to_json(direct));
   EXPECT_EQ(main.cursor(), direct.cursor());
-
-  SpanRecorder open;
-  open.begin("unfinished");
-  EXPECT_THROW(main.merge_from(open, 1), SimError);
 }
 
 // ---- session merge ---------------------------------------------------------
