@@ -1,13 +1,11 @@
 #include "blas3/mm_hier.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <cmath>
 
 #include "common/parallel.hpp"
 #include "common/util.hpp"
 #include "fp/backend.hpp"
-#include "fp/softfloat.hpp"
 #include "model/perf_model.hpp"
 #include "telemetry/session.hpp"
 
@@ -126,18 +124,9 @@ MmHierOutcome MmHierEngine::run_panel(const std::vector<double>& a,
   // index — the exact order the PE array produces (validated bit-for-bit
   // against MmArrayEngine in tests), independent of the blocking. This is
   // what makes row-panel sharding bit-identical to a single full run.
-  std::vector<u64> abits(rows * n), bbits(n * n);
-  std::memcpy(abits.data(), a.data(), rows * n * sizeof(double));
-  std::memcpy(bbits.data(), b.data(), n * n * sizeof(double));
   const fp::Backend& be = fp::active_backend();
   parallel_for(0, rows, [&](std::size_t row) {
-    for (std::size_t col = 0; col < n; ++col) {
-      u64 acc = fp::kPosZero;
-      for (std::size_t inner = 0; inner < n; ++inner) {
-        acc = be.add(acc, be.mul(abits[row * n + inner], bbits[inner * n + col]));
-      }
-      out.c[row * n + col] = fp::from_bits(acc);
-    }
+    be.gemm_rows(a.data() + row * n, b.data(), out.c.data() + row * n, 1, n);
   });
 
   fill_model(out, rows, n);

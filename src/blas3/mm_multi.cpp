@@ -1,12 +1,10 @@
 #include "blas3/mm_multi.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <cmath>
 
 #include "common/parallel.hpp"
 #include "fp/backend.hpp"
-#include "fp/softfloat.hpp"
 #include "telemetry/session.hpp"
 
 namespace xd::blas3 {
@@ -138,18 +136,9 @@ MmMultiOutcome MmMultiEngine::run(const std::vector<double>& a,
   // Numerics: ascending-inner accumulation, the exact element-level order of
   // the PE array (bit-identical to MmArrayEngine / MmHierEngine).
   out.c.assign(n * n, 0.0);
-  std::vector<u64> abits(n * n), bbits(n * n);
-  std::memcpy(abits.data(), a.data(), n * n * sizeof(double));
-  std::memcpy(bbits.data(), b.data(), n * n * sizeof(double));
   const fp::Backend& be = fp::active_backend();
   parallel_for(0, n, [&](std::size_t row) {
-    for (std::size_t col = 0; col < n; ++col) {
-      u64 acc = fp::kPosZero;
-      for (std::size_t inner = 0; inner < n; ++inner) {
-        acc = be.add(acc, be.mul(abits[row * n + inner], bbits[inner * n + col]));
-      }
-      out.c[row * n + col] = fp::from_bits(acc);
-    }
+    be.gemm_rows(a.data() + row * n, b.data(), out.c.data() + row * n, 1, n);
   });
 
   out.report.design = cat("mm-multi l=", l, " k=", cfg_.k, " m=", m, " b=", cfg_.b);

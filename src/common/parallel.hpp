@@ -1,7 +1,7 @@
 // Minimal shared-memory parallel-for for the host side of the simulator.
 //
-// The softfloat "golden numerics" loops (O(n^3) independent dot products in
-// the GEMM engines) are embarrassingly parallel; this helper fans a range
+// The GEMM engines' numerics (one fp::Backend::gemm_rows call per
+// independent C row) are embarrassingly parallel; this helper fans a range
 // across the process-wide ThreadPool with static chunking. Determinism is
 // preserved: every index computes the same value regardless of the thread
 // that runs it, and results land in caller-owned slots with no shared

@@ -1,5 +1,6 @@
 #include "fp/backend.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -112,17 +113,64 @@ u64 native_fold_n(u64* scratch, std::size_t k) {
   return native_fold_careful(scratch, k);
 }
 
+// The scalar add/mul chain in (row, inner, col) order: the inner loop runs
+// over a unit-stride row of B and a row of accumulators, yet each C element
+// still sees its products in ascending inner order.
+template <Backend::Op Add, Backend::Op Mul>
+void chain_gemm_rows(const double* a, const double* b, double* c,
+                     std::size_t rows, std::size_t n) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* ar = a + r * n;
+    double* cr = c + r * n;
+    std::fill(cr, cr + n, 0.0);
+    for (std::size_t k = 0; k < n; ++k) {
+      const u64 aik = to_bits(ar[k]);
+      const double* bk = b + k * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        cr[j] = from_bits(Add(to_bits(cr[j]), Mul(aik, to_bits(bk[j]))));
+      }
+    }
+  }
+}
+
+constexpr Backend::GemmRows soft_gemm_rows = &chain_gemm_rows<&fp::add, &fp::mul>;
+
+void native_gemm_rows(const double* a, const double* b, double* c,
+                      std::size_t rows, std::size_t n) {
+  // Plain host doubles first (this file is built with -ffp-contract=off, so
+  // the multiply and the add each round). IEEE add and mul never turn inf or
+  // NaN back into a finite value, so a finite output had only finite
+  // products and partial sums, whose RNE results are bit-identical to
+  // softfloat. A row with any non-finite output is recomputed through
+  // native_add / native_mul, which reproduce softfloat's NaN payloads, its
+  // default NaN for inf - inf and 0 * inf, and its infinities.
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* __restrict ar = a + r * n;
+    double* __restrict cr = c + r * n;
+    std::fill(cr, cr + n, 0.0);
+    for (std::size_t k = 0; k < n; ++k) {
+      const double aik = ar[k];
+      const double* __restrict bk = b + k * n;
+      for (std::size_t j = 0; j < n; ++j) cr[j] += aik * bk[j];
+    }
+    const auto special = [](double x) { return is_special(to_bits(x)); };
+    if (std::any_of(cr, cr + n, special)) [[unlikely]] {
+      chain_gemm_rows<&native_add, &native_mul>(ar, b, cr, 1, n);
+    }
+  }
+}
+
 }  // namespace
 
 const Backend& soft_backend() {
-  static const Backend be{&fp::add, &fp::mul, &soft_mul_n, &soft_fold_n,
-                          BackendKind::Soft};
+  static const Backend be{&fp::add,     &fp::mul,       &soft_mul_n,
+                          &soft_fold_n, soft_gemm_rows, BackendKind::Soft};
   return be;
 }
 
 const Backend& native_backend() {
-  static const Backend be{&native_add, &native_mul, &native_mul_n,
-                          &native_fold_n, BackendKind::Native};
+  static const Backend be{&native_add,    &native_mul,       &native_mul_n,
+                          &native_fold_n, &native_gemm_rows, BackendKind::Native};
   return be;
 }
 
@@ -271,6 +319,40 @@ ConformanceReport run_conformance(const Backend& candidate, u64 random_cases,
         if (rep.first_failure.empty()) {
           rep.first_failure = cat("fold_n(k=", k, ") = 0x", std::hex, have,
                                   ", softfloat says 0x", want);
+        }
+      }
+    }
+  }
+
+  // GEMM panel kernel: must match the soft kernel bit for bit. Each 2 x 3
+  // panel draws A and B from a pair of operand bands: mid-range pairs make a
+  // reordered or FMA-fused kernel round differently; subnormal, near-overflow
+  // and raw bands reach gradual underflow, inf - inf and NaN payloads. The
+  // panels are few and small because every backend selection runs them.
+  if (candidate.gemm_rows) {
+    static constexpr unsigned kBands[][2] = {{3, 3}, {3, 3}, {1, 3}, {3, 1},
+                                             {2, 3}, {2, 2}, {0, 0}, {0, 3}};
+    constexpr std::size_t rows = 2, n = 3;
+    for (u64 i = 0; i < std::size(kBands); ++i) {
+      double a[rows * n], b[n * n], want[rows * n], have[rows * n];
+      for (std::size_t j = 0; j < rows * n; ++j) {
+        a[j] = from_bits(
+            shape_pattern(splitmix64(s ^ (0x20000 + 64 * i + j)), kBands[i][0]));
+      }
+      for (std::size_t j = 0; j < n * n; ++j) {
+        b[j] = from_bits(
+            shape_pattern(splitmix64(s ^ (0x30000 + 64 * i + j)), kBands[i][1]));
+      }
+      soft_gemm_rows(a, b, want, rows, n);
+      candidate.gemm_rows(a, b, have, rows, n);
+      for (std::size_t j = 0; j < rows * n; ++j) {
+        ++rep.cases;
+        if (to_bits(want[j]) == to_bits(have[j])) continue;
+        ok = false;
+        if (rep.first_failure.empty()) {
+          rep.first_failure =
+              cat("gemm_rows(panel ", i, ")[", j, "] = 0x", std::hex,
+                  to_bits(have[j]), ", softfloat says 0x", to_bits(want[j]));
         }
       }
     }

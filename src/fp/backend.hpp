@@ -49,6 +49,8 @@ struct Backend {
   using Op = u64 (*)(u64, u64);
   using MulN = void (*)(const u64*, const u64*, u64*, std::size_t);
   using FoldN = u64 (*)(u64*, std::size_t);
+  using GemmRows = void (*)(const double*, const double*, double*, std::size_t,
+                            std::size_t);
 
   Op add = &fp::add;
   Op mul = &fp::mul;
@@ -58,6 +60,11 @@ struct Backend {
   /// each level adds adjacent pairs; returns the root. One indirect call per
   /// group instead of k-1 — the adds inline inside the backend.
   FoldN fold_n = nullptr;
+  /// Row-major GEMM panel: c (rows x n) = a (rows x n) . b (n x n). Every C
+  /// element starts from +0 and adds its products in ascending inner order
+  /// (the PE array's order), so the bits match the scalar add/mul chain.
+  /// c must not overlap a or b.
+  GemmRows gemm_rows = nullptr;
   BackendKind kind = BackendKind::Soft;
 };
 

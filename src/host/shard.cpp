@@ -238,13 +238,17 @@ ShardOutcome ShardScheduler::run(const OpDesc& desc, unsigned forced_l) {
   // bit-identical to single-device execution by construction.
   out.values.reserve(out.plan.rows *
                      (desc.kind == OpKind::Gemm ? desc.n : 1));
-  u64 flops = 0;
-  u64 max_engine = 0;
+  // Words add up over the shards; stalls are the slowest shard's (the first
+  // one on a tie), the shard that sets compute_cycles.
+  const Outcome* slowest = &out.shards.front();
   for (const Outcome& s : out.shards) {
     out.values.insert(out.values.end(), s.values.begin(), s.values.end());
-    flops += s.report.flops;
-    max_engine = std::max(max_engine, s.report.cycles);
+    out.report.flops += s.report.flops;
+    out.report.sram_words += s.report.sram_words;
+    out.report.dram_words += s.report.dram_words;
+    if (s.report.cycles > slowest->report.cycles) slowest = &s;
   }
+  const u64 max_engine = slowest->report.cycles;
 
   out.report.design =
       cat("shard l=", l, " over ", chain.chassis_count(), " chassis [",
@@ -254,7 +258,7 @@ ShardOutcome ShardScheduler::run(const OpDesc& desc, unsigned forced_l) {
   // The communication overhang beyond the slowest engine: scatter the
   // engines could not hide plus the serialized gather tail.
   out.report.staging_cycles = makespan - max_engine;
-  out.report.flops = flops;
+  out.report.stall_cycles = slowest->report.stall_cycles;
   out.report.clock_mhz = out.plan.clock_mhz;
 
   out.link_words = chain.link_words();

@@ -89,7 +89,9 @@ struct ShardPlan {
 /// A sharded run: the reduced result plus the per-shard evidence.
 struct ShardOutcome {
   std::vector<double> values;  ///< reduced row-major C (or y), ascending rows
-  PerfReport report;           ///< cycles = sharded makespan at node 0
+  /// cycles = sharded makespan at node 0; compute and stall cycles are the
+  /// slowest shard's; flops and SRAM/DRAM words sum over the shards.
+  PerfReport report;
   std::vector<Outcome> shards; ///< per-shard engine outcomes, ascending
   ShardPlan plan;              ///< with observed per-piece timeline filled in
   double link_words = 0.0;         ///< words moved over intra-chassis links

@@ -48,8 +48,12 @@ class Trace {
       head_ = (head_ + 1) % capacity_;  // overwrote the oldest slot
     }
     e.cycle = cycle;
-    e.source.assign(source);  // reuses the slot's string capacity
-    e.what.assign(what);
+    // clear + append reuses the slot's string capacity. (assign would too,
+    // but GCC 12 reports a false -Wrestrict through its inlined _M_replace.)
+    e.source.clear();
+    e.source.append(source);
+    e.what.clear();
+    e.what.append(what);
     ++total_;
   }
 

@@ -531,19 +531,19 @@ INSTANTIATE_TEST_SUITE_P(
                     12066915359011914517ull, 13952952400359396270ull, kFnvBasis}},
         EngineCase{"shard_gemm_l1", E::Shard, 8, 1, 0, 0,
                    {"shard l=1 over 3 chassis [mm-hier l=1 k=8 m=8 b=48]", 13832, 13832,
-                    0, 221184, 0, 0, 0, 130, 13314778079873131096ull,
+                    0, 221184, 0, 27664, 6912, 130, 13314778079873131096ull,
                     14433207421257469321ull, 2256994483369602253ull}},
         EngineCase{"shard_gemm_l2", E::Shard, 8, 2, 0, 0,
                    {"shard l=2 over 3 chassis [mm-hier l=1 k=8 m=8 b=48]", 9318, 6920,
-                    2398, 221184, 0, 0, 0, 130, 12044383093567490372ull,
+                    2398, 221184, 0, 27680, 6912, 130, 12044383093567490372ull,
                     14433207421257469321ull, 18079079187455876243ull}},
         EngineCase{"shard_gemm_l3", E::Shard, 8, 3, 0, 0,
                    {"shard l=3 over 3 chassis [mm-hier l=1 k=8 m=8 b=48]", 9211, 4616,
-                    4595, 221184, 0, 0, 0, 130, 7923154200877919708ull,
+                    4595, 221184, 0, 27696, 6912, 130, 7923154200877919708ull,
                     14433207421257469321ull, 14663294214366256151ull}},
         EngineCase{"shard_gemm_l6", E::Shard, 8, 6, 0, 0,
                    {"shard l=6 over 3 chassis [mm-hier l=1 k=8 m=8 b=48]", 14296, 2312,
-                    11984, 221184, 0, 0, 0, 130, 10353652552804647359ull,
+                    11984, 221184, 0, 27744, 6912, 130, 10353652552804647359ull,
                     14433207421257469321ull, 12365977211292541371ull}}),
     [](const ::testing::TestParamInfo<EngineCase>& info) {
       return std::string(info.param.name);

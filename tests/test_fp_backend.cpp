@@ -1,10 +1,13 @@
 // Backend-selection tests: the conformance gate does its job (native passes
 // on an IEEE-754 RNE host and a deliberately broken backend is rejected),
 // the XDBLAS_FP_BACKEND modes resolve as documented, the batched mul_n /
-// fold_n entry points agree bitwise with softfloat on adversarial operands,
-// and the regression corpus replays clean under BOTH backends.
+// fold_n / gemm_rows entry points agree bitwise with softfloat on
+// adversarial operands, and the regression corpus replays clean under BOTH
+// backends.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/random.hpp"
@@ -13,7 +16,9 @@
 #include "fp/fpu.hpp"
 #include "fp/softfloat.hpp"
 #include "host/plan.hpp"
+#include "testing/case.hpp"
 #include "testing/fuzz.hpp"
+#include "testing/oracle.hpp"
 
 using namespace xd;
 using fp::Backend;
@@ -82,6 +87,37 @@ u64 strided_fold_n(u64* scratch, std::size_t k) {
   return scratch[0];
 }
 
+// GEMM panel kernels that are wrong only in their order of operations: one
+// adds each element's products in descending inner order, the other fuses
+// every multiply-add into one rounding. Every scalar add and mul stays
+// IEEE-correct, so only the gemm_rows cross-check can see them.
+void descending_gemm_rows(const double* a, const double* b, double* c,
+                          std::size_t rows, std::size_t n) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t j = 0; j < n; ++j) {
+      u64 acc = fp::kPosZero;
+      for (std::size_t k = n; k-- > 0;) {
+        acc = fp::add(acc, fp::mul(fp::to_bits(a[r * n + k]),
+                                   fp::to_bits(b[k * n + j])));
+      }
+      c[r * n + j] = fp::from_bits(acc);
+    }
+  }
+}
+
+void fused_gemm_rows(const double* a, const double* b, double* c,
+                     std::size_t rows, std::size_t n) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        acc = std::fma(a[r * n + k], b[k * n + j], acc);
+      }
+      c[r * n + j] = acc;
+    }
+  }
+}
+
 }  // namespace
 
 TEST(Conformance, FlushToZeroBackendIsRejected) {
@@ -101,6 +137,17 @@ TEST(Conformance, MiswiredFoldIsRejected) {
   EXPECT_FALSE(rep.passed);
   EXPECT_NE(rep.first_failure.find("fold_n"), std::string::npos)
       << rep.first_failure;
+}
+
+TEST(Conformance, MiswiredGemmRowsIsRejected) {
+  for (const Backend::GemmRows kernel : {&descending_gemm_rows, &fused_gemm_rows}) {
+    Backend bad = fp::soft_backend();
+    bad.gemm_rows = kernel;
+    const auto rep = fp::run_conformance(bad);
+    EXPECT_FALSE(rep.passed);
+    EXPECT_NE(rep.first_failure.find("gemm_rows"), std::string::npos)
+        << rep.first_failure;
+  }
 }
 
 TEST(Selection, SoftModeForcesSoftfloat) {
@@ -237,6 +284,115 @@ TEST(NativeBatched, FoldNCatchesOppositeInfinityCollision) {
   const u64 have = fp::native_backend().fold_n(in.data(), 4);
   const u64 want = fp::add(fp::add(ref[0], ref[1]), fp::add(ref[2], ref[3]));
   EXPECT_EQ(have, want);
+}
+
+// ---- GEMM panel kernel vs the scalar chain ---------------------------------
+
+namespace {
+
+/// The fuzz oracle's naive softfloat loop, one column of C at a time: the
+/// order the engines promise, written independently of either kernel.
+std::vector<u64> scalar_gemm(const std::vector<double>& a,
+                             const std::vector<double>& b, std::size_t rows,
+                             std::size_t n) {
+  std::vector<u64> c(rows * n);
+  std::vector<double> bcol(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t k = 0; k < n; ++k) bcol[k] = b[k * n + j];
+    const auto col = xd::testing::oracle_gemv(a, rows, n, bcol).values;
+    for (std::size_t r = 0; r < rows; ++r) c[r * n + j] = fp::to_bits(col[r]);
+  }
+  return c;
+}
+
+/// Runs both backends' kernels on one panel and checks each element against
+/// scalar_gemm bit for bit; returns the reference bits.
+std::vector<u64> expect_gemm_rows_exact(const std::vector<double>& a,
+                                        const std::vector<double>& b,
+                                        std::size_t rows, std::size_t n,
+                                        const std::string& what) {
+  const std::vector<u64> want = scalar_gemm(a, b, rows, n);
+  for (const Backend* be : {&fp::soft_backend(), &fp::native_backend()}) {
+    std::vector<double> c(rows * n, 1.0);  // the kernel must not read C
+    be->gemm_rows(a.data(), b.data(), c.data(), rows, n);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      EXPECT_EQ(fp::to_bits(c[i]), want[i])
+          << fp::backend_name(be->kind) << " " << what << ", element " << i;
+    }
+  }
+  return want;
+}
+
+}  // namespace
+
+TEST(GemmRows, MatchesTheScalarChainOnExtremePanels) {
+  // Even trials draw every operand from the fuzzer's Extreme pool (zeros,
+  // subnormals, 1e+-300, DBL_MIN, inf, NaN), so most outputs at larger n go
+  // non-finite and take the recompute path. Odd trials salt uniform
+  // operands with 1-in-16 Extreme values, so finite and non-finite outputs
+  // sit side by side in one row.
+  Rng rng(2027);
+  for (std::size_t n : {1u, 2u, 3u, 17u, 64u}) {
+    for (std::size_t rows : {1u, 5u}) {
+      for (int trial = 0; trial < 8; ++trial) {
+        auto draw = [&] {
+          if (trial % 2 == 0 || rng.uniform_int(0, 15) == 0) {
+            return xd::testing::draw_value(rng, xd::testing::ValueMode::Extreme);
+          }
+          return rng.uniform(-1.0, 1.0);
+        };
+        std::vector<double> a(rows * n), b(n * n);
+        for (auto& v : a) v = draw();
+        for (auto& v : b) v = draw();
+        expect_gemm_rows_exact(a, b, rows, n,
+                               cat("n=", n, " rows=", rows, " trial ", trial));
+      }
+    }
+  }
+}
+
+TEST(GemmRows, HandBuiltNonFiniteAndSubnormalRows) {
+  const double big = 1.7e308;  // two of these overflow, one does not
+
+  {  // The partial sum overflows to +inf, then meets a -inf product.
+    const std::vector<double> a{big, big, -1e200};
+    const std::vector<double> b{1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+                                1e200, 1e200, 1e200};
+    const auto c = expect_gemm_rows_exact(a, b, 1, 3, "inf - inf");
+    EXPECT_EQ(c[0], fp::kDefaultNaN);
+  }
+  {  // NaNs in A and B meet in one product: A's payload wins, quieted.
+    const u64 nan_a = 0x7FF4'0000'0000'BEEFull;  // signaling
+    const u64 nan_b = 0xFFF8'0000'0000'CAFEull;
+    const std::vector<double> a{1.0, fp::from_bits(nan_a)};
+    const std::vector<double> b{2.0, 3.0, fp::from_bits(nan_b), 4.0};
+    const auto c = expect_gemm_rows_exact(a, b, 1, 2, "NaN payloads");
+    EXPECT_EQ(c[0], fp::quiet(nan_a));
+    EXPECT_EQ(c[1], fp::quiet(nan_a));
+  }
+  {  // Every product is -0: the +0 start makes the sum +0.
+    const std::vector<double> a{-1.0, 2.0, -0.0};
+    const std::vector<double> b{0.0, 0.0, 0.0, -0.0, -0.0, -0.0,
+                                5.0, 5.0, 5.0};
+    const auto c = expect_gemm_rows_exact(a, b, 1, 3, "all -0 products");
+    for (const u64 bits : c) EXPECT_EQ(bits, fp::kPosZero);
+  }
+  {  // Subnormal products, rounded, accumulating into a subnormal sum.
+    const double dmin = 2.2250738585072014e-308;
+    const std::vector<double> a{dmin, dmin, 5e-324, -dmin};
+    std::vector<double> b(16);
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] = 0.3 + 0.01 * double(i);
+    const auto c = expect_gemm_rows_exact(a, b, 1, 4, "subnormal sums");
+    for (const u64 bits : c) EXPECT_TRUE(fp::is_subnormal(bits));
+  }
+  {  // A finite row next to a row that holds an infinity.
+    const double inf = fp::from_bits(fp::kPosInf);
+    const std::vector<double> a{0.5, 0.25, inf, 1.0};
+    const std::vector<double> b{1.0, 2.0, 3.0, 4.0};
+    const auto c = expect_gemm_rows_exact(a, b, 2, 2, "mixed rows");
+    EXPECT_TRUE(fp::is_finite(c[0]) && fp::is_finite(c[1]));
+    EXPECT_TRUE(fp::is_inf(c[2]) && fp::is_inf(c[3]));
+  }
 }
 
 // ---- engine-level equivalence ----------------------------------------------

@@ -144,6 +144,48 @@ TEST(ShardGemm, L1CostsExactlyTheSingleDeviceRun) {
   EXPECT_EQ(out.interchassis_words, 0.0);
 }
 
+TEST(ShardGemm, ReportCarriesTheShardsWordsAndStalls) {
+  const std::size_t n = 48;
+  Rng rng(7);
+  const auto a = rng.matrix(n, n);
+  const auto b = rng.matrix(n, n);
+  ContextConfig cfg;
+  Runtime rt(cfg);
+  const host::PerfReport base = rt.run(OpDesc::gemm(a, b, n)).report;
+
+  // l = 1: the shard's report is the single-device report, field by field.
+  ShardScheduler one(rt, small_system());
+  const host::PerfReport r1 = one.run(OpDesc::gemm(a, b, n), 1).report;
+  EXPECT_EQ(r1.cycles, base.cycles);
+  EXPECT_EQ(r1.compute_cycles, base.compute_cycles);
+  EXPECT_EQ(r1.staging_cycles, base.staging_cycles);
+  EXPECT_EQ(r1.flops, base.flops);
+  EXPECT_EQ(r1.stall_cycles, base.stall_cycles);
+  EXPECT_EQ(r1.sram_words, base.sram_words);
+  EXPECT_EQ(r1.dram_words, base.dram_words);
+  EXPECT_EQ(r1.clock_mhz, base.clock_mhz);
+  EXPECT_GT(r1.sram_words, 0.0);
+  EXPECT_GT(r1.dram_words, 0.0);
+
+  // l > 1: words are the per-shard sums; stalls are the slowest shard's.
+  for (unsigned l : {2u, 3u, 6u}) {
+    ShardScheduler sched(rt, small_system());
+    const ShardOutcome out = sched.run(OpDesc::gemm(a, b, n), l);
+    double sram = 0.0, dram = 0.0;
+    const Outcome* slowest = &out.shards.front();
+    for (const Outcome& s : out.shards) {
+      sram += s.report.sram_words;
+      dram += s.report.dram_words;
+      if (s.report.cycles > slowest->report.cycles) slowest = &s;
+    }
+    EXPECT_EQ(out.report.sram_words, sram) << "l=" << l;
+    EXPECT_EQ(out.report.dram_words, dram) << "l=" << l;
+    EXPECT_EQ(out.report.compute_cycles, slowest->report.cycles) << "l=" << l;
+    EXPECT_EQ(out.report.stall_cycles, slowest->report.stall_cycles)
+        << "l=" << l;
+  }
+}
+
 TEST(ShardGemm, SimulationMatchesAnalyticModelCycleForCycle) {
   // The multi-FPGA extension of the PR-5 model/sim cross-validation: the
   // channel-driven scatter/compute/gather timeline must equal
@@ -296,9 +338,13 @@ TEST(ShardPlan, AutoChoiceScoresEveryFeasibleLAndPicksTheModeledBest) {
   for (const auto& c : sp.candidates) best = std::min(best, c.model_cycles);
   EXPECT_EQ(sp.model_cycles, best);
   for (const auto& c : sp.candidates) {
-    if (c.l == sp.l) EXPECT_EQ(c.model_cycles, sp.model_cycles);
+    if (c.l == sp.l) {
+      EXPECT_EQ(c.model_cycles, sp.model_cycles);
+    }
     // Ties go to the smaller l: every strictly smaller candidate is slower.
-    if (c.l < sp.l) EXPECT_GT(c.model_cycles, sp.model_cycles);
+    if (c.l < sp.l) {
+      EXPECT_GT(c.model_cycles, sp.model_cycles);
+    }
   }
 
   ASSERT_EQ(sp.pieces.size(), sp.l);
