@@ -1,7 +1,9 @@
 // Soft-vs-native FP backend comparison: runs each op kind's hot path under
 // both arithmetic backends, verifies the results are bit-identical and the
 // cycle counts equal (the backend must never change what the simulator
-// computes, only how fast), and reports the wall-clock speedup.
+// computes, only how fast), and reports the wall-clock speedup. One row
+// runs a tree GEMV through a Runtime, whose later runs replay the recorded
+// reduction schedule; every row's repetitions must match its first run.
 //
 // With XDBLAS_BENCH_JSON set, each row is also emitted as a JSONL object
 // (event "backend_bench"); tools/bench_compare diffs those rows against
@@ -9,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <memory>
 
 #include "bench_util.hpp"
 #include "blas1/dot_engine.hpp"
@@ -19,6 +22,7 @@
 #include "common/random.hpp"
 #include "fp/backend.hpp"
 #include "fp/softfloat.hpp"
+#include "host/runtime.hpp"
 #include "telemetry/json.hpp"
 
 using namespace xd;
@@ -41,8 +45,10 @@ std::vector<u64> to_bits_vec(const std::vector<double>& v) {
   return bits;
 }
 
-/// Best-of-`reps` wall-clock of `body` under the given backend.
-Measurement measure(fp::BackendKind kind, int reps,
+/// Best-of-`reps` wall-clock of `body` under the given backend. Every
+/// repetition must reproduce the first one's bits and cycles (for the
+/// replay row, the first run simulates and the later ones replay).
+Measurement measure(fp::BackendKind kind, int reps, const std::string& name,
                     const std::function<RunResult()>& body) {
   fp::ScopedBackend scoped(kind);
   Measurement m;
@@ -53,6 +59,11 @@ Measurement measure(fp::BackendKind kind, int reps,
     const double ns =
         std::chrono::duration<double, std::nano>(stop - start).count();
     if (r == 0 || ns < m.best_ns) m.best_ns = ns;
+    if (r > 0 && (out.bits != m.result.bits || out.cycles != m.result.cycles)) {
+      std::fprintf(stderr, "FATAL: %s run %d differs from run 0 (%s)\n",
+                   name.c_str(), r, fp::backend_name(kind).data());
+      std::exit(1);
+    }
     m.result = std::move(out);
   }
   return m;
@@ -68,8 +79,8 @@ void run_cases(const std::vector<Case>& cases, int reps) {
   TextTable t({"Op kind", "FP ops", "Cycles", "soft ms", "native ms",
                "Speedup", "Bit-identical"});
   for (const auto& c : cases) {
-    const Measurement soft = measure(fp::BackendKind::Soft, reps, c.body);
-    const Measurement nat = measure(fp::BackendKind::Native, reps, c.body);
+    const Measurement soft = measure(fp::BackendKind::Soft, reps, c.name, c.body);
+    const Measurement nat = measure(fp::BackendKind::Native, reps, c.name, c.body);
     const bool bits_equal = soft.result.bits == nat.result.bits &&
                             soft.result.cycles == nat.result.cycles;
     const double speedup = soft.best_ns / nat.best_ns;
@@ -165,6 +176,16 @@ int main() {
                            blas2::MxvTreeEngine engine(cfg);
                            auto out = engine.run(ga, gn, gn, gx);
                            return RunResult{to_bits_vec(out.y),
+                                            out.report.cycles};
+                         }});
+
+    // The same shape through a Runtime at the paper's k = 4: the plan's
+    // first run simulates and records its reduction schedule, the later
+    // runs replay it (sim/schedule.hpp), so the best time is a replay.
+    auto rt = std::make_shared<host::Runtime>(host::ContextConfig{});
+    cases.push_back(Case{"gemv-tree-512 replay", 2 * gn * gn, [rt, ga, gx, gn] {
+                           auto out = rt->run(host::OpDesc::gemv(ga, gn, gn, gx));
+                           return RunResult{to_bits_vec(out.values),
                                             out.report.cycles};
                          }});
 

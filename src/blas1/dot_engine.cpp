@@ -91,43 +91,69 @@ DotOutcome DotEngine::run_impl(const std::vector<double>* const* us,
   }
 
   const unsigned k = cfg_.k;
+  telemetry::Session* tel = cfg_.telemetry;
+  const auto len_of = [&](std::size_t i) { return us[i]->size(); };
+  u64 flops = 0;
+  for (std::size_t i = 0; i < count; ++i) flops += 2 * us[i]->size();
+
+  DotOutcome out;
+  out.results.assign(count, 0.0);
+  out.report.design = cat("dot k=", std::to_string(k));
+  out.report.flops = flops;
+  out.report.clock_mhz = cfg_.clock_mhz;
+  const auto finish = [&](u64 cycles, u64 stalls, u64 streamed_words) {
+    out.report.cycles = cycles;
+    out.report.compute_cycles = cycles;
+    out.report.stall_cycles = stalls;
+    out.report.sram_words = static_cast<double>(streamed_words);
+    if (tel) {
+      tel->phase("compute", cycles);
+      auto lengths = tel->histogram("blas1.dot.vector_words");
+      for (std::size_t i = 0; i < count; ++i) {
+        lengths.observe(static_cast<double>(us[i]->size()));
+      }
+    }
+  };
+
+  sim::TreeScratchLease scratch(
+      sim::mac_reduce_key(k, cfg_.adder_stages, cfg_.multiplier_stages));
+  const bool traced = tel && tel->trace().enabled();
+  if (const sim::Schedule* sched =
+          sim::replayable(cfg_.schedule, traced, count, len_of)) {
+    scratch->abits.resize(sched->inputs);
+    const fp::Backend& be = fp::active_backend();
+    std::size_t staged = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      be.mac_groups(us[i]->data(), vs[i]->data(),
+                    scratch->abits.data() + staged, us[i]->size(), k);
+      staged += (us[i]->size() + k - 1) / k;
+    }
+    sim::replay(*sched, *scratch, staged, out.results);
+    finish(sched->cycles, sched->stall_cycles, sched->streamed_words);
+    if (tel) tel->metrics().merge_from(sched->fragment);
+    return out;
+  }
+
   // The burst allowance covers one full lane group (2k words) so a channel
   // slower than the group size still feeds the lanes every few cycles.
   mem::Channel channel(cfg_.mem_words_per_cycle, "dot.mem",
                        std::max(cfg_.mem_words_per_cycle + 2.0, 2.0 * k));
-  sim::TreeScratchLease scratch(
-      sim::mac_reduce_key(k, cfg_.adder_stages, cfg_.multiplier_stages));
   scratch->abits.resize(k);
   scratch->xbits.resize(k);
   DotFeeder feed{us, vs, count, k, channel, scratch->abits.data(),
                  scratch->xbits.data()};
-
-  DotOutcome out;
-  out.results.assign(count, 0.0);
-  const auto run = sim::run_mac_reduce(*scratch, k, feed, out.results,
-                                       cfg_.telemetry);
-
-  u64 flops = 0;
-  for (std::size_t i = 0; i < count; ++i) flops += 2 * us[i]->size();
-
-  out.report.design = cat("dot k=", std::to_string(k));
-  out.report.cycles = run.cycles;
-  out.report.compute_cycles = run.cycles;
-  out.report.flops = flops;
-  out.report.stall_cycles = run.stall_cycles;
-  out.report.sram_words = static_cast<double>(feed.streamed_words);
-  out.report.clock_mhz = cfg_.clock_mhz;
-
-  if (telemetry::Session* tel = cfg_.telemetry) {
-    tel->phase("compute", run.cycles);
-    channel.publish(tel->metrics(), "mem.dot.sram");
-    sim::publish_mac_reduce(*tel, *scratch, k, "dot", "blas1.dot", run.cycles,
+  sim::ScheduleRecorder rec(cfg_.schedule, *scratch);
+  const auto run =
+      sim::run_mac_reduce(*scratch, k, feed, out.results, tel, 0, &rec);
+  const auto publish_datapath = [&](telemetry::MetricsRegistry& reg) {
+    channel.publish(reg, "mem.dot.sram");
+    sim::publish_mac_reduce(reg, *scratch, k, "dot", "blas1.dot", run.cycles,
                             flops, run.stall_cycles);
-    auto lengths = tel->histogram("blas1.dot.vector_words");
-    for (std::size_t i = 0; i < count; ++i) {
-      lengths.observe(static_cast<double>(us[i]->size()));
-    }
-  }
+  };
+  sim::finish_recording(rec, count, len_of, k, run, feed.streamed_words,
+                        publish_datapath);
+  finish(run.cycles, run.stall_cycles, feed.streamed_words);
+  if (tel) publish_datapath(tel->metrics());
   return out;
 }
 

@@ -24,6 +24,9 @@
 namespace xd::telemetry {
 class Session;
 }
+namespace xd::sim {
+class ScheduleSlot;
+}
 
 namespace xd::blas1 {
 
@@ -38,6 +41,10 @@ struct DotConfig {
   /// reduce.dot.* / blas1.dot.*, a "compute" phase span, and trace events
   /// when the session's trace is enabled). Null disables instrumentation.
   telemetry::Session* telemetry = nullptr;
+  /// Optional schedule slot (sim/schedule.hpp): the first run records the
+  /// reduction schedule into it, later runs with the same set lengths replay
+  /// it instead of simulating. Null always simulates.
+  sim::ScheduleSlot* schedule = nullptr;
 };
 
 struct DotOutcome {

@@ -172,7 +172,8 @@ MxvOutcome NodeGemvEngine::run(const std::vector<double>& a, std::size_t rows,
       node_.sram(bank).publish(tel->metrics(), cat("mem.sram.bank", bank));
     }
     node_.dram().link().publish(tel->metrics(), "mem.dram.link");
-    sim::publish_mac_reduce(*tel, *scratch, k, "gemv", "blas2.gemv_node", cycle,
+    sim::publish_mac_reduce(tel->metrics(), *scratch, k, "gemv",
+                            "blas2.gemv_node", cycle,
                             out.report.flops, run.stall_cycles);
     tel->counter("blas2.gemv_node.staging_cycles").add(staging_cycles);
   }

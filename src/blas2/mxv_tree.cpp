@@ -12,14 +12,18 @@ namespace xd::blas2 {
 
 namespace {
 
-/// Row-major A streamed k words per cycle against lane-striped local x;
-/// both are pre-converted bit panels, so a group is a straight mul_n.
+/// Row-major A streamed k words per cycle against lane-striped local x. x is
+/// a pre-converted bit panel (every row reuses it); A is touched once, so
+/// each group's lanes are copied into an L1-resident panel right before the
+/// multiply, as the dot feeder does, instead of converting all of A up
+/// front.
 struct RowFeeder {
-  const u64* abits;
+  const double* a;
   const u64* xbits;
   std::size_t rows, cols;
   unsigned k;
   mem::Channel& channel;
+  u64* apanel;
   const fp::Backend& be = fp::active_backend();
   std::size_t row = 0, col = 0;
   u64 streamed_words = 0;
@@ -33,7 +37,8 @@ struct RowFeeder {
     channel.transfer(words);
     streamed_words += lanes;
     u64* products = mults.stage(cycle, col + lanes == cols);
-    be.mul_n(abits + row * cols + col, xbits + col, products, lanes);
+    std::memcpy(apanel, a + row * cols + col, lanes * sizeof(double));
+    be.mul_n(apanel, xbits + col, products, lanes);
     std::fill(products + lanes, products + mults.width(), fp::kPosZero);
     col += lanes;
     if (col == cols) {
@@ -63,43 +68,65 @@ MxvOutcome MxvTreeEngine::run(const std::vector<double>& a, std::size_t rows,
   require(x.size() == cols, "GEMV: x length mismatch");
 
   const unsigned k = cfg_.k;
-  mem::Channel channel(cfg_.mem_words_per_cycle, "mxv.mem",
-                       std::max(cfg_.mem_words_per_cycle + 2.0,
-                                static_cast<double>(k)));
-  sim::TreeScratchLease scratch(
-      sim::mac_reduce_key(k, cfg_.adder_stages, cfg_.multiplier_stages));
-
-  // Local x storage, lane-striped exactly as the paper describes; pre-convert
-  // to bits once (preload phase, not streamed during compute). The A panel is
-  // pre-converted the same way. Both panels live in the scratch's reusable
-  // staging vectors.
-  scratch->xbits.resize(cols);
-  std::memcpy(scratch->xbits.data(), x.data(), cols * sizeof(double));
-  scratch->abits.resize(a.size());
-  std::memcpy(scratch->abits.data(), a.data(), a.size() * sizeof(double));
-  RowFeeder feed{scratch->abits.data(), scratch->xbits.data(), rows, cols, k,
-                 channel};
+  telemetry::Session* tel = cfg_.telemetry;
+  const auto len_of = [&](std::size_t) { return cols; };
 
   MxvOutcome out;
   out.y.assign(rows, 0.0);
-  const auto run = sim::run_mac_reduce(*scratch, k, feed, out.y, cfg_.telemetry);
-
   out.report.design = cat("gemv-tree k=", std::to_string(k));
-  out.report.cycles = run.cycles;
-  out.report.compute_cycles = run.cycles;
   out.report.flops = 2ull * rows * cols;
-  out.report.stall_cycles = run.stall_cycles;
-  out.report.sram_words =
-      static_cast<double>(feed.streamed_words + rows);  // + y out
   out.report.clock_mhz = cfg_.clock_mhz;
+  const auto finish = [&](u64 cycles, u64 stalls, u64 streamed_words) {
+    out.report.cycles = cycles;
+    out.report.compute_cycles = cycles;
+    out.report.stall_cycles = stalls;
+    out.report.sram_words = static_cast<double>(streamed_words + rows);  // + y out
+    if (tel) {
+      tel->phase("compute", cycles);
+      tel->histogram("blas2.gemv.row_words").observe(static_cast<double>(cols));
+    }
+  };
 
-  if (telemetry::Session* tel = cfg_.telemetry) {
-    tel->phase("compute", run.cycles);
-    channel.publish(tel->metrics(), "mem.gemv.sram");
-    sim::publish_mac_reduce(*tel, *scratch, k, "gemv", "blas2.gemv", run.cycles,
-                            out.report.flops, run.stall_cycles);
-    tel->histogram("blas2.gemv.row_words").observe(static_cast<double>(cols));
+  sim::TreeScratchLease scratch(
+      sim::mac_reduce_key(k, cfg_.adder_stages, cfg_.multiplier_stages));
+  const bool traced = tel && tel->trace().enabled();
+  if (const sim::Schedule* sched =
+          sim::replayable(cfg_.schedule, traced, rows, len_of)) {
+    const std::size_t groups = (cols + k - 1) / k;
+    scratch->abits.resize(rows * groups);
+    const fp::Backend& be = fp::active_backend();
+    for (std::size_t r = 0; r < rows; ++r) {
+      be.mac_groups(a.data() + r * cols, x.data(),
+                    scratch->abits.data() + r * groups, cols, k);
+    }
+    sim::replay(*sched, *scratch, rows * groups, out.y);
+    finish(sched->cycles, sched->stall_cycles, sched->streamed_words);
+    if (tel) tel->metrics().merge_from(sched->fragment);
+    return out;
   }
+
+  mem::Channel channel(cfg_.mem_words_per_cycle, "mxv.mem",
+                       std::max(cfg_.mem_words_per_cycle + 2.0,
+                                static_cast<double>(k)));
+  // Local x storage, lane-striped exactly as the paper describes; pre-convert
+  // to bits once (preload phase, not streamed during compute). x and the A
+  // group panel live in the scratch's reusable staging vectors.
+  scratch->xbits.resize(cols);
+  std::memcpy(scratch->xbits.data(), x.data(), cols * sizeof(double));
+  scratch->abits.resize(k);
+  RowFeeder feed{a.data(), scratch->xbits.data(), rows, cols, k, channel,
+                 scratch->abits.data()};
+  sim::ScheduleRecorder rec(cfg_.schedule, *scratch);
+  const auto run = sim::run_mac_reduce(*scratch, k, feed, out.y, tel, 0, &rec);
+  const auto publish_datapath = [&](telemetry::MetricsRegistry& reg) {
+    channel.publish(reg, "mem.gemv.sram");
+    sim::publish_mac_reduce(reg, *scratch, k, "gemv", "blas2.gemv", run.cycles,
+                            out.report.flops, run.stall_cycles);
+  };
+  sim::finish_recording(rec, rows, len_of, k, run, feed.streamed_words,
+                        publish_datapath);
+  finish(run.cycles, run.stall_cycles, feed.streamed_words);
+  if (tel) publish_datapath(tel->metrics());
   return out;
 }
 

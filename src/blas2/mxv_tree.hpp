@@ -18,6 +18,9 @@
 namespace xd::telemetry {
 class Session;
 }
+namespace xd::sim {
+class ScheduleSlot;
+}
 
 namespace xd::blas2 {
 
@@ -31,6 +34,10 @@ struct MxvTreeConfig {
   /// Optional telemetry sink (mem.gemv.* / fpu.gemv.* / reduce.gemv.* /
   /// blas2.gemv.* metrics plus a "compute" phase span).
   telemetry::Session* telemetry = nullptr;
+  /// Optional schedule slot (sim/schedule.hpp): the first run records the
+  /// reduction schedule into it, later runs of the same shape replay it
+  /// instead of simulating. Null always simulates.
+  sim::ScheduleSlot* schedule = nullptr;
 };
 
 struct MxvOutcome {

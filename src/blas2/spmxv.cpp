@@ -143,7 +143,7 @@ MxvOutcome SpmxvEngine::run(const CrsMatrix& a, const std::vector<double>& x) {
   if (telemetry::Session* tel = cfg_.telemetry) {
     tel->phase("compute", run.cycles);
     channel.publish(tel->metrics(), "mem.spmxv.sram");
-    sim::publish_mac_reduce(*tel, *scratch, k, "spmxv", "blas2.spmxv",
+    sim::publish_mac_reduce(tel->metrics(), *scratch, k, "spmxv", "blas2.spmxv",
                             run.cycles, out.report.flops, run.stall_cycles);
     auto row_nnz = tel->histogram("blas2.spmxv.row_nnz");
     for (std::size_t i = 0; i < a.rows; ++i) {

@@ -105,10 +105,31 @@ void QuantileSketch::add(double x) {
 
 void QuantileSketch::merge(const QuantileSketch& o) {
   if (o.n_ == 0) return;
-  // Two sorted runs; merge into a fresh vector (both are small).
+  n_ += o.n_;
+  // The telemetry path merges a small per-op sketch after every op, and its
+  // keys are nearly always present already: then add in place, without
+  // allocating. Otherwise merge the two sorted runs into a fresh vector.
+  std::size_t i = 0;
+  bool all_present = true;
+  for (const auto& b : o.buckets_) {
+    while (i < buckets_.size() && buckets_[i].first < b.first) ++i;
+    if (i == buckets_.size() || buckets_[i].first != b.first) {
+      all_present = false;
+      break;
+    }
+  }
+  if (all_present) {
+    i = 0;
+    for (const auto& [key, count] : o.buckets_) {
+      while (buckets_[i].first != key) ++i;
+      buckets_[i].second += count;
+    }
+    return;
+  }
   std::vector<std::pair<int, std::uint64_t>> out;
   out.reserve(buckets_.size() + o.buckets_.size());
-  std::size_t i = 0, j = 0;
+  std::size_t j = 0;
+  i = 0;
   while (i < buckets_.size() || j < o.buckets_.size()) {
     if (j == o.buckets_.size() ||
         (i < buckets_.size() && buckets_[i].first < o.buckets_[j].first)) {
@@ -122,10 +143,12 @@ void QuantileSketch::merge(const QuantileSketch& o) {
     }
   }
   buckets_ = std::move(out);
-  n_ += o.n_;
 }
 
-void QuantileSketch::reset() { *this = QuantileSketch{}; }
+void QuantileSketch::reset() {
+  buckets_.clear();  // keeps the storage for the next op's samples
+  n_ = 0;
+}
 
 double QuantileSketch::quantile(double q) const {
   if (n_ == 0) return 0.0;

@@ -160,17 +160,96 @@ void native_gemm_rows(const double* a, const double* b, double* c,
   }
 }
 
+// The adder-tree input stream on the scalar add/mul chain: per group, the
+// lane products (tail lanes +0, as the feeders pad them), then the pairwise
+// fold of fold_n.
+template <Backend::Op Add, Backend::Op Mul>
+void chain_mac_groups(const double* a, const double* b, u64* out,
+                      std::size_t n, std::size_t k) {
+  u64 p[kMaxMacLanes];
+  for (std::size_t i = 0; i < n; i += k) {
+    const std::size_t lanes = std::min(k, n - i);
+    for (std::size_t j = 0; j < lanes; ++j) {
+      p[j] = Mul(to_bits(a[i + j]), to_bits(b[i + j]));
+    }
+    std::fill(p + lanes, p + k, kPosZero);
+    for (std::size_t width = k; width > 1; width /= 2) {
+      for (std::size_t j = 0; j < width / 2; ++j) {
+        p[j] = Add(p[2 * j], p[2 * j + 1]);
+      }
+    }
+    *out++ = p[0];
+  }
+}
+
+constexpr Backend::MacGroups soft_mac_groups =
+    &chain_mac_groups<&fp::add, &fp::mul>;
+
+// One K-lane group on host doubles: the products, then the pairwise fold.
+template <std::size_t K>
+inline double host_group(const double* a, const double* b) {
+  double p[K];
+  for (std::size_t j = 0; j < K; ++j) p[j] = a[j] * b[j];
+  for (std::size_t w = K; w > 1; w /= 2) {
+    for (std::size_t j = 0; j < w / 2; ++j) p[j] = p[2 * j] + p[2 * j + 1];
+  }
+  return p[0];
+}
+
+template <std::size_t K>
+void host_mac_groups(const double* a, const double* b, u64* out,
+                     std::size_t n) {
+  const std::size_t full = n / K;
+  for (std::size_t g = 0; g < full; ++g) {
+    out[g] = to_bits(host_group<K>(a + g * K, b + g * K));
+  }
+  if (const std::size_t tail = n % K) {
+    // Zero operands in the idle lanes give the +0 products the feeders pad.
+    double ta[K] = {}, tb[K] = {};
+    std::copy(a + full * K, a + n, ta);
+    std::copy(b + full * K, b + n, tb);
+    out[full] = to_bits(host_group<K>(ta, tb));
+  }
+}
+
+void native_mac_groups(const double* a, const double* b, u64* out,
+                       std::size_t n, std::size_t k) {
+  // Plain host doubles first, then the gemm_rows argument: NaN and inf never
+  // turn back into finite values, so a finite group had only finite
+  // products and partial sums, whose RNE results match softfloat. A NaN or
+  // infinite input makes its group's result non-finite too, so checking the
+  // results catches every group that needs native_add / native_mul.
+  switch (k) {
+    case 1: host_mac_groups<1>(a, b, out, n); break;
+    case 2: host_mac_groups<2>(a, b, out, n); break;
+    case 4: host_mac_groups<4>(a, b, out, n); break;
+    case 8: host_mac_groups<8>(a, b, out, n); break;
+    case 16: host_mac_groups<16>(a, b, out, n); break;
+    case 32: host_mac_groups<32>(a, b, out, n); break;
+    default: host_mac_groups<kMaxMacLanes>(a, b, out, n); break;
+  }
+  for (std::size_t i = 0; i < n; i += k, ++out) {
+    if (is_special(*out)) [[unlikely]] {
+      chain_mac_groups<&native_add, &native_mul>(a + i, b + i, out,
+                                                 std::min(k, n - i), k);
+    }
+  }
+}
+
 }  // namespace
 
 const Backend& soft_backend() {
   static const Backend be{&fp::add,     &fp::mul,       &soft_mul_n,
-                          &soft_fold_n, soft_gemm_rows, BackendKind::Soft};
+                          &soft_fold_n, soft_gemm_rows, soft_mac_groups,
+                          BackendKind::Soft};
   return be;
 }
 
 const Backend& native_backend() {
-  static const Backend be{&native_add,    &native_mul,       &native_mul_n,
-                          &native_fold_n, &native_gemm_rows, BackendKind::Native};
+  static const Backend be{&native_add,       &native_mul,
+                          &native_mul_n,     &native_fold_n,
+                          &native_gemm_rows, &native_mac_groups,
+                          BackendKind::Native};
   return be;
 }
 
@@ -356,6 +435,47 @@ ConformanceReport run_conformance(const Backend& candidate, u64 random_cases,
         }
       }
     }
+  }
+
+  // Adder-tree input stream: must match the soft kernel bit for bit. The
+  // cases cover every lane count the fast kernel specialises (and one it
+  // does not), ragged tails, and the same operand bands as the GEMM panels,
+  // plus one group of -0 products, whose +0 tail padding makes the sum +0.
+  if (candidate.mac_groups) {
+    const auto check = [&](const double* a, const double* b, std::size_t n,
+                           std::size_t k) {
+      u64 want[16], have[16];
+      soft_mac_groups(a, b, want, n, k);
+      candidate.mac_groups(a, b, have, n, k);
+      for (std::size_t g = 0; g < (n + k - 1) / k; ++g) {
+        ++rep.cases;
+        if (want[g] == have[g]) continue;
+        ok = false;
+        if (rep.first_failure.empty()) {
+          rep.first_failure = cat("mac_groups(n=", n, ", k=", k, ")[", g,
+                                  "] = 0x", std::hex, have[g],
+                                  ", softfloat says 0x", want[g]);
+        }
+      }
+    };
+    static constexpr struct {
+      std::size_t n, k;
+      unsigned band_a, band_b;
+    } kCases[] = {{5, 1, 3, 3}, {7, 2, 3, 3}, {9, 4, 3, 3}, {11, 8, 3, 1},
+                  {6, 4, 2, 2}, {8, 4, 0, 0}, {13, 16, 2, 3}, {3, 4, 1, 1}};
+    for (u64 i = 0; i < std::size(kCases); ++i) {
+      const auto& c = kCases[i];
+      double a[16], b[16];
+      for (std::size_t j = 0; j < c.n; ++j) {
+        a[j] = from_bits(
+            shape_pattern(splitmix64(s ^ (0x40000 + 64 * i + j)), c.band_a));
+        b[j] = from_bits(
+            shape_pattern(splitmix64(s ^ (0x50000 + 64 * i + j)), c.band_b));
+      }
+      check(a, b, c.n, c.k);
+    }
+    const double neg_a[] = {-0.0, 1.0, -2.0}, neg_b[] = {1.0, -0.0, 0.0};
+    check(neg_a, neg_b, 3, 4);
   }
 
   rep.passed = ok;

@@ -42,6 +42,9 @@ inline constexpr std::string_view backend_name(BackendKind k) {
   return k == BackendKind::Soft ? "soft" : "native";
 }
 
+/// Widest adder tree Backend::mac_groups folds.
+inline constexpr std::size_t kMaxMacLanes = 64;
+
 /// Resolved arithmetic dispatch table. Engines fetch the active table once
 /// per run and call through it; pipelined units capture the ops at
 /// construction (so a unit's arithmetic is fixed for its lifetime).
@@ -51,6 +54,8 @@ struct Backend {
   using FoldN = u64 (*)(u64*, std::size_t);
   using GemmRows = void (*)(const double*, const double*, double*, std::size_t,
                             std::size_t);
+  using MacGroups = void (*)(const double*, const double*, u64*, std::size_t,
+                             std::size_t);
 
   Op add = &fp::add;
   Op mul = &fp::mul;
@@ -65,6 +70,13 @@ struct Backend {
   /// (the PE array's order), so the bits match the scalar add/mul chain.
   /// c must not overlap a or b.
   GemmRows gemm_rows = nullptr;
+  /// The adder-tree input stream of one vector pair: out[g] (g <
+  /// ceil(n / k)) is the k-wide pairwise tree fold of a[i] * b[i] over group
+  /// g, tail lanes padded with +0 products; k == 1 passes the products
+  /// through; k is 1 or a power of two <= kMaxMacLanes. Bit-identical to
+  /// mul_n + fold_n per group: schedule replay (sim/schedule.hpp) stages a
+  /// whole op's reduction-circuit input with it.
+  MacGroups mac_groups = nullptr;
   BackendKind kind = BackendKind::Soft;
 };
 

@@ -86,9 +86,9 @@ std::size_t gemv_onchip_x_capacity(const ContextConfig& cfg) {
   return cap > fixed ? static_cast<std::size_t>(cap - fixed) : 0;
 }
 
-Plan build_plan(const ContextConfig& cfg, const PlanKey& key) {
-  if (key.tune != TunePolicy::Fixed) return build_tuned_plan(cfg, key);
+namespace {
 
+Plan build_fixed_plan(const ContextConfig& cfg, const PlanKey& key) {
   Plan plan;
   plan.key = key;
 
@@ -206,6 +206,20 @@ Plan build_plan(const ContextConfig& cfg, const PlanKey& key) {
       plan.engine = mc;
       break;
     }
+  }
+  return plan;
+}
+
+}  // namespace
+
+Plan build_plan(const ContextConfig& cfg, const PlanKey& key) {
+  Plan plan = key.tune == TunePolicy::Fixed ? build_fixed_plan(cfg, key)
+                                            : build_tuned_plan(cfg, key);
+  const bool tree_gemv =
+      std::holds_alternative<blas2::MxvTreeConfig>(plan.engine) &&
+      !plan.blocked_gemv;
+  if (std::holds_alternative<blas1::DotConfig>(plan.engine) || tree_gemv) {
+    plan.schedule = std::make_shared<sim::ScheduleSlot>();
   }
   return plan;
 }
@@ -574,31 +588,72 @@ std::size_t PlanCache::graph_size() const {
   return graph_map_.size();
 }
 
+PlanCache::ScheduleUse PlanCache::schedule_use() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return schedule_use_locked();
+}
+
+PlanCache::ScheduleUse PlanCache::schedule_use_locked() const {
+  ScheduleUse use;
+  const auto count = [&use](const Plan& plan) {
+    if (const sim::Schedule* s = plan.schedule ? plan.schedule->get() : nullptr) {
+      ++use.schedules;
+      use.bytes += s->bytes();
+    }
+  };
+  for (const auto& [key, entry] : map_) count(*entry.plan);
+  for (const auto& [key, plan] : pinned_) count(*plan);
+  for (const auto& [key, entry] : graph_map_) {
+    for (const auto& node : entry.plan->node_plans) count(*node);
+  }
+  return use;
+}
+
 void PlanCache::publish(telemetry::Session& tel) const {
-  tel.gauge("host.plan.hits").set(static_cast<double>(hits()));
-  tel.gauge("host.plan.misses").set(static_cast<double>(misses()));
-  tel.gauge("host.plan.evictions").set(static_cast<double>(evictions()));
-  tel.gauge("host.plan.size").set(static_cast<double>(size()));
-  tel.gauge("host.plan.capacity").set(static_cast<double>(capacity()));
-  tel.gauge("host.plan.pinned").set(static_cast<double>(pinned_count()));
   // Graph-plan entries are accounted separately: host.plan.{hits,misses}
-  // stay a pure single-op hit-rate, undiluted by graph keys.
-  tel.gauge("host.plan.graphs").set(static_cast<double>(graph_size()));
-  tel.gauge("host.plan.graph_hits").set(static_cast<double>(graph_hits()));
-  tel.gauge("host.plan.graph_misses").set(static_cast<double>(graph_misses()));
-  tel.gauge("host.plan.graph_evictions")
-      .set(static_cast<double>(graph_evictions()));
-  // Tuner activity (zero under TunePolicy::Fixed): how many plans went
-  // through design selection, how much of the candidate space the area model
+  // stay a pure single-op hit-rate, undiluted by graph keys. The tuner
+  // gauges (zero under TunePolicy::Fixed) show how many plans went through
+  // design selection, how much of the candidate space the area model
   // pruned, and what the probe runs cost in simulated cycles.
   const auto load = [](const std::atomic<u64>& a) {
     return static_cast<double>(a.load(std::memory_order_relaxed));
   };
-  tel.gauge("host.tuner.plans").set(load(tuned_plans_));
-  tel.gauge("host.tuner.candidates").set(load(tune_candidates_));
-  tel.gauge("host.tuner.pruned_area").set(load(tune_pruned_));
-  tel.gauge("host.tuner.probes").set(load(tune_probes_));
-  tel.gauge("host.tuner.probe_cycles").set(load(tune_probe_cycles_));
+  std::size_t lru = 0, pinned = 0, graphs = 0;
+  ScheduleUse use;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    lru = map_.size();
+    pinned = pinned_.size();
+    graphs = graph_map_.size();
+    use = schedule_use_locked();
+  }
+  const double values[] = {
+      static_cast<double>(hits()),
+      static_cast<double>(misses()),
+      static_cast<double>(evictions()),
+      static_cast<double>(lru),
+      static_cast<double>(capacity()),
+      static_cast<double>(pinned),
+      static_cast<double>(graphs),
+      static_cast<double>(graph_hits()),
+      static_cast<double>(graph_misses()),
+      static_cast<double>(graph_evictions()),
+      load(tuned_plans_),
+      load(tune_candidates_),
+      load(tune_pruned_),
+      load(tune_probes_),
+      load(tune_probe_cycles_),
+  };
+  gauges_.set_gauges(tel.metrics(), values);
+  // Recorded reduction schedules held by cached plans (single-op, pinned
+  // and graph nodes) and their footprint. The pair appears once a plan
+  // first holds a schedule, so sessions that run no dot or tree GEMV keep
+  // their metric vocabulary, and stays current from then on.
+  if (use.schedules > 0 || tel.metrics().contains("host.plan.schedules")) {
+    const double held[] = {static_cast<double>(use.schedules),
+                           static_cast<double>(use.bytes)};
+    schedule_gauges_.set_gauges(tel.metrics(), held);
+  }
 }
 
 }  // namespace xd::host

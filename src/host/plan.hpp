@@ -27,6 +27,7 @@
 #include "host/graph.hpp"
 #include "host/op.hpp"
 #include "mem/bram.hpp"
+#include "sim/schedule.hpp"
 
 namespace xd::host {
 
@@ -92,6 +93,10 @@ struct Plan {
   std::size_t onchip_capacity = 0;  ///< GEMV: words of x that fit on chip
   bool blocked_gemv = false;     ///< GemvAuto resolved to the blocked variant
   TuneSummary tune;              ///< empty/default under TunePolicy::Fixed
+  /// Dot and tree-GEMV plans: the reduction schedule the plan's first run
+  /// records and later runs replay (sim/schedule.hpp). Null for the other
+  /// engines, which always simulate. Copies of a plan share the slot.
+  std::shared_ptr<sim::ScheduleSlot> schedule;
 };
 
 // ---- configuration-derived helpers hoisted out of Context ------------------
@@ -164,7 +169,17 @@ GraphPlan build_graph_plan(const ContextConfig& cfg, const GraphDesc& g);
 class PlanCache {
  public:
   explicit PlanCache(std::size_t capacity = 64)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+      : capacity_(capacity == 0 ? 1 : capacity),
+        gauges_(telemetry::MetricKind::Gauge,
+                {"host.plan.hits", "host.plan.misses", "host.plan.evictions",
+                 "host.plan.size", "host.plan.capacity", "host.plan.pinned",
+                 "host.plan.graphs", "host.plan.graph_hits",
+                 "host.plan.graph_misses", "host.plan.graph_evictions",
+                 "host.tuner.plans", "host.tuner.candidates",
+                 "host.tuner.pruned_area", "host.tuner.probes",
+                 "host.tuner.probe_cycles"}),
+        schedule_gauges_(telemetry::MetricKind::Gauge,
+                         {"host.plan.schedules", "host.plan.schedule_bytes"}) {}
 
   /// Return the cached plan for `key`, building (and possibly evicting the
   /// least recently used entry) on a miss. Thread-safe.
@@ -200,8 +215,16 @@ class PlanCache {
     return graph_evictions_.load(std::memory_order_relaxed);
   }
 
+  /// Recorded schedules held by the cached plans, graph nodes included.
+  struct ScheduleUse {
+    std::size_t schedules = 0;
+    std::size_t bytes = 0;
+  };
+  ScheduleUse schedule_use() const;
+
   /// Set the host.plan.* gauges from the current counters (publish-at-end
-  /// idiom; idempotent, unlike counter adds).
+  /// idiom; idempotent, unlike counter adds). Callers serialize publishes
+  /// as they do recording into `tel` (the gauge handles are cached).
   void publish(telemetry::Session& tel) const;
 
  private:
@@ -236,6 +259,10 @@ class PlanCache {
   std::atomic<u64> tune_pruned_{0};
   std::atomic<u64> tune_probes_{0};
   std::atomic<u64> tune_probe_cycles_{0};
+  mutable telemetry::MetricList gauges_;  ///< publish()'s, in value order
+  mutable telemetry::MetricList schedule_gauges_;
+
+  ScheduleUse schedule_use_locked() const;  ///< mu_ held
 };
 
 }  // namespace xd::host

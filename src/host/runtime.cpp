@@ -17,6 +17,15 @@ Cfg with_telemetry(const Cfg& planned, telemetry::Session* tel) {
   return cfg;
 }
 
+/// The same copy, also handed the plan's schedule slot (dot, tree GEMV).
+template <typename Cfg>
+Cfg with_schedule(const Cfg& planned, telemetry::Session* tel,
+                  const Plan& plan) {
+  Cfg cfg = with_telemetry(planned, tel);
+  cfg.schedule = plan.schedule.get();
+  return cfg;
+}
+
 /// Monotonic wall-clock nanoseconds for TraceContext lifecycle stamps.
 u64 now_ns() {
   return static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -64,11 +73,11 @@ class OpSlab {
       return s;
     }
     {
-      std::lock_guard<std::mutex> lock(mu());
-      auto& g = global();
-      if (!g.empty()) {
-        OpState* s = g.back();
-        g.pop_back();
+      Global& g = global();
+      std::lock_guard<std::mutex> lock(g.mu);
+      if (!g.states.empty()) {
+        OpState* s = g.states.back();
+        g.states.pop_back();
         return s;
       }
     }
@@ -86,10 +95,10 @@ class OpSlab {
       loc.push_back(s);
       return;
     }
-    std::lock_guard<std::mutex> lock(mu());
-    auto& g = global();
-    if (g.size() < kGlobalCap) {
-      g.push_back(s);
+    Global& g = global();
+    std::lock_guard<std::mutex> lock(g.mu);
+    if (g.states.size() < kGlobalCap) {
+      g.states.push_back(s);
       return;
     }
     delete s;
@@ -104,16 +113,21 @@ class OpSlab {
       for (OpState* s : states) delete s;
     }
   };
+  /// The spillover list, freed at exit like the per-thread lists (a leak
+  /// checker would otherwise report every spilled state).
+  struct Global {
+    std::mutex mu;
+    std::vector<OpState*> states;
+    ~Global() {
+      for (OpState* s : states) delete s;
+    }
+  };
   static Local& local() {
     static thread_local Local l;
     return l;
   }
-  static std::mutex& mu() {
-    static std::mutex m;
-    return m;
-  }
-  static std::vector<OpState*>& global() {
-    static std::vector<OpState*> g;
+  static Global& global() {
+    static Global g;
     return g;
   }
 };
@@ -129,7 +143,16 @@ struct SlabReturn {
 Runtime::Runtime(const ContextConfig& cfg, ThreadPool* pool)
     : cfg_(cfg),
       pool_(pool ? pool : &ThreadPool::shared()),
-      cache_(cfg.plan_cache_capacity) {}
+      cache_(cfg.plan_cache_capacity),
+      gauges_(telemetry::MetricKind::Gauge,
+              {"host.runtime.submitted", "host.runtime.completed",
+               "host.runtime.failed", "host.runtime.workers",
+               "host.runtime.queue_depth", "host.runtime.in_flight",
+               "fp.backend.native", "fp.backend.fell_back",
+               "fp.backend.conformance_cases"}),
+      latency_(telemetry::MetricKind::Histogram,
+               {"host.runtime.queue_wait", "host.runtime.exec",
+                "host.runtime.e2e"}) {}
 
 Outcome Runtime::execute(const OpDesc& desc, telemetry::Session* tel,
                          telemetry::TraceContext* tc, const Plan* pinned) {
@@ -173,7 +196,7 @@ Outcome Runtime::run_engine(const Plan& plan, const OpDesc& desc,
   switch (desc.kind) {
     case OpKind::Dot: {
       blas1::DotEngine engine(
-          with_telemetry(std::get<blas1::DotConfig>(plan.engine), tel));
+          with_schedule(std::get<blas1::DotConfig>(plan.engine), tel, plan));
       // Single-pair overload: no per-op batch-vector wrap (two vector
       // copies per tiny op on the old path).
       out = to_outcome(engine.run_pair(*desc.a, *desc.b), OpKind::Dot);
@@ -181,7 +204,7 @@ Outcome Runtime::run_engine(const Plan& plan, const OpDesc& desc,
     }
     case OpKind::DotBatch: {
       blas1::DotEngine engine(
-          with_telemetry(std::get<blas1::DotConfig>(plan.engine), tel));
+          with_schedule(std::get<blas1::DotConfig>(plan.engine), tel, plan));
       out = to_outcome(engine.run(*desc.us, *desc.vs));
       break;
     }
@@ -191,7 +214,8 @@ Outcome Runtime::run_engine(const Plan& plan, const OpDesc& desc,
       // column design and vice versa).
       if (std::holds_alternative<blas2::MxvTreeConfig>(plan.engine)) {
         blas2::MxvTreeEngine engine(
-            with_telemetry(std::get<blas2::MxvTreeConfig>(plan.engine), tel));
+            with_schedule(std::get<blas2::MxvTreeConfig>(plan.engine), tel,
+                          plan));
         out = to_outcome(engine.run(*desc.a, desc.rows, desc.cols, *desc.x));
       } else {
         blas2::MxvColEngine engine(
@@ -201,8 +225,9 @@ Outcome Runtime::run_engine(const Plan& plan, const OpDesc& desc,
       break;
     }
     case OpKind::GemvAuto: {
+      // Blocked plans carry no schedule slot: blocked GEMV simulates.
       const auto tc =
-          with_telemetry(std::get<blas2::MxvTreeConfig>(plan.engine), tel);
+          with_schedule(std::get<blas2::MxvTreeConfig>(plan.engine), tel, plan);
       if (!plan.blocked_gemv) {
         blas2::MxvTreeEngine engine(tc);
         out = to_outcome(engine.run(*desc.a, desc.rows, desc.cols, *desc.x),
@@ -334,12 +359,15 @@ void Runtime::observe_latency(telemetry::Session& tel,
   // Histograms are in microseconds: the sketch's log-linear buckets resolve
   // sub-microsecond detail poorly anyway, and us keeps exports readable.
   constexpr double kUs = 1e-3;
-  tel.histogram("host.runtime.queue_wait")
-      .observe(static_cast<double>(tc.queue_wait_ns()) * kUs);
-  tel.histogram("host.runtime.exec")
-      .observe(static_cast<double>(tc.complete_ns - tc.exec_ns) * kUs);
-  tel.histogram("host.runtime.e2e")
-      .observe(static_cast<double>(tc.e2e_ns()) * kUs);
+  const double samples[] = {
+      static_cast<double>(tc.queue_wait_ns()) * kUs,
+      static_cast<double>(tc.complete_ns - tc.exec_ns) * kUs,
+      static_cast<double>(tc.e2e_ns()) * kUs,
+  };
+  telemetry::Metric* const* h = latency_.bind(tel.metrics());
+  for (std::size_t i = 0; i < std::size(samples); ++i) {
+    telemetry::HistogramMetric(*h[i]).observe(samples[i]);
+  }
 }
 
 Outcome Runtime::run(const OpDesc& desc) { return run_impl(desc, nullptr); }
@@ -440,12 +468,14 @@ Outcome Runtime::async_op(const OpDesc& desc, const Plan* pinned,
       completed_.fetch_add(1, std::memory_order_relaxed);
       in_flight_.fetch_sub(1, std::memory_order_relaxed);
       {
+        // The flight record goes in under the session lock too: right
+        // after it, every worker would queue again on the recorder's mutex.
         auto lock = tel->lock();
         tel->merge_unlocked(shard, tc.lane);
         observe_latency(*tel, tc);
         publish(*tel);
+        tel->flight().record(tc);
       }
-      tel->flight().record(tc);
     }
     return out;
   } catch (const std::exception& e) {
@@ -681,8 +711,8 @@ std::future<GraphOutcome> Runtime::submit_graph(const GraphDesc& g) {
               tel->merge_unlocked(shard, tc.lane);
               observe_latency(*tel, tc);
               publish(*tel);
+              tel->flight().record(tc);
             }
-            tel->flight().record(tc);
           }
           return out;
         } catch (const std::exception& e) {
@@ -720,21 +750,22 @@ RuntimeStats Runtime::stats() const {
 
 void Runtime::publish(telemetry::Session& tel) const {
   const RuntimeStats s = stats();
-  tel.gauge("host.runtime.submitted").set(static_cast<double>(s.submitted));
-  tel.gauge("host.runtime.completed").set(static_cast<double>(s.completed));
-  tel.gauge("host.runtime.failed").set(static_cast<double>(s.failed));
-  tel.gauge("host.runtime.workers").set(static_cast<double>(workers()));
-  tel.gauge("host.runtime.queue_depth").set(static_cast<double>(s.queued));
-  tel.gauge("host.runtime.in_flight").set(static_cast<double>(s.in_flight));
   // Which arithmetic backend runs the engines, and the evidence behind the
   // choice: 'native' reflects the live dispatch table (including ScopedBackend
   // overrides), the other two describe the process-wide startup selection.
   const fp::BackendSelection& sel = fp::backend_selection();
-  tel.gauge("fp.backend.native")
-      .set(fp::active_backend().kind == fp::BackendKind::Native ? 1.0 : 0.0);
-  tel.gauge("fp.backend.fell_back").set(sel.fell_back ? 1.0 : 0.0);
-  tel.gauge("fp.backend.conformance_cases")
-      .set(static_cast<double>(sel.conformance.cases));
+  const double values[] = {
+      static_cast<double>(s.submitted),
+      static_cast<double>(s.completed),
+      static_cast<double>(s.failed),
+      static_cast<double>(workers()),
+      static_cast<double>(s.queued),
+      static_cast<double>(s.in_flight),
+      fp::active_backend().kind == fp::BackendKind::Native ? 1.0 : 0.0,
+      sel.fell_back ? 1.0 : 0.0,
+      static_cast<double>(sel.conformance.cases),
+  };
+  gauges_.set_gauges(tel.metrics(), values);
   cache_.publish(tel);
 }
 

@@ -127,7 +127,8 @@ class Runtime {
   /// Set the host.runtime.* gauges (and the cache's host.plan.*) from the
   /// current counters. Called automatically at the end of every run() and
   /// every completed submit(). The caller must hold the session's lock or
-  /// otherwise have exclusive access to it.
+  /// otherwise have exclusive access to it; publishes into different
+  /// sessions must not overlap (the metric handles are cached per session).
   void publish(telemetry::Session& tel) const;
 
  private:
@@ -155,6 +156,10 @@ class Runtime {
   ContextConfig cfg_;
   ThreadPool* pool_;
   PlanCache cache_;
+  /// publish()'s gauges and observe_latency()'s histograms, resolved once per
+  /// session epoch; used under the session lock.
+  mutable telemetry::MetricList gauges_;
+  mutable telemetry::MetricList latency_;
   std::atomic<u64> submitted_{0};
   std::atomic<u64> completed_{0};
   std::atomic<u64> failed_{0};

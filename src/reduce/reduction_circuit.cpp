@@ -89,6 +89,7 @@ void ReductionCircuit::reset_for_reuse() {
   stats_ = ReductionStats{};
   out_queue_.clear();
   trace_ = nullptr;
+  log_ = nullptr;
 }
 
 double ReductionCircuit::adder_utilization() const {
@@ -196,6 +197,10 @@ bool ReductionCircuit::accept_input(const Input& in) {
     row.values[slot] = in.bits;
     row.occupied_bits |= u64{1} << slot;
     ++bin->words;
+    if (log_) {
+      log_->push_back(
+          value_op::encode(value_op::Direct, reg(in_idx_, cur_row_, slot)));
+    }
   } else {
     // Fold path: combine the new element with slot (merge_ptr mod alpha).
     // The slot was last targeted alpha inputs (= alpha cycles) ago, so its
@@ -208,6 +213,10 @@ bool ReductionCircuit::accept_input(const Input& in) {
                  make_tag(in_idx_, cur_row_, row.merge_ptr));
     row.inflight_bits |= bit;
     adder_issued_ = true;
+    if (log_) {
+      log_->push_back(
+          value_op::encode(value_op::Fold, reg(in_idx_, cur_row_, row.merge_ptr)));
+    }
     if (++row.merge_ptr == alpha_) row.merge_ptr = 0;
   }
   if (in.last) {
@@ -244,6 +253,10 @@ void ReductionCircuit::issue_drain_if_free() {
   const unsigned second = static_cast<unsigned>(std::countr_zero(rest));
   drain.issue(row.values[first], row.values[second],
               make_tag(1 - in_idx_, ri, first));
+  if (log_) {
+    log_->push_back(value_op::encode(value_op::Drain, reg(1 - in_idx_, ri, first),
+                                     reg(1 - in_idx_, ri, second)));
+  }
   row.inflight_bits |= u64{1} << first;  // result lands back in `first`
   row.occupied_bits &= ~(u64{1} << second);
   --red.words;
@@ -261,6 +274,14 @@ void ReductionCircuit::scan_for_finals() {
   Row& row = red.rows[ri];
   const unsigned slot = static_cast<unsigned>(std::countr_zero(row.occupied_bits));
   out_queue_.push_back(SetResult{row.set_id, row.values[slot]});
+  if (log_) {
+    const u64 rel = row.set_id + value_op::kEmitBias - stats_.sets_completed;
+    if (rel > value_op::kFieldMask) {
+      throw SimError("reduction circuit: emitted set out of the op log's range");
+    }
+    log_->push_back(value_op::encode(value_op::Emit, reg(1 - in_idx_, ri, slot),
+                                     static_cast<u32>(rel)));
+  }
   row.occupied_bits = 0;
   --red.words;
   row.in_use = false;

@@ -27,7 +27,11 @@
 //
 // The numeric combination order is therefore NOT plain left-to-right
 // summation; like the hardware, results are a correctly-rounded sum of a
-// reassociated addition tree, so tests compare against tolerance, not bits.
+// reassociated addition tree. That order is fixed by set sizes and arrival
+// timing alone, never by the values, so the circuit can log it (value_op
+// below) and sim/schedule.hpp replays the log bit for bit. Tests compare
+// engines against the naive oracle within a tolerance (or bitwise on
+// integer operands), and against the simulator bit for bit.
 #pragma once
 
 #include <bit>
@@ -46,6 +50,34 @@ class MetricsRegistry;
 }
 
 namespace xd::reduce {
+
+/// The circuit's value operations in issue order, as a schedule recorder
+/// logs them (ReductionCircuit::record_ops). An op is 32 bits: the kind in
+/// the top two, then two 13-bit fields. Registers number every slot of both
+/// buffers, (buffer * alpha + row) * alpha + slot < 2 * 64 * 64 = 2^13.
+/// Each op reads its operands when the circuit issues it, and no slot is
+/// read between an issue and its write-back, so running the ops in order,
+/// each to completion, gives the circuit's exact bits.
+namespace value_op {
+enum Kind : u32 {
+  Direct = 0,  ///< reg[a] = next input
+  Fold = 1,    ///< reg[a] = add(next input, reg[a])
+  Drain = 2,   ///< reg[a] = add(reg[a], reg[b])
+  Emit = 3,    ///< reg[a] is the sum of set (sets emitted so far + b - kEmitBias)
+};
+inline constexpr unsigned kFieldBits = 13;
+inline constexpr u32 kFieldMask = (u32{1} << kFieldBits) - 1;
+/// An emitted set is named relative to the count already emitted: every set
+/// still in the circuit lies within alpha of it.
+inline constexpr u32 kEmitBias = u32{1} << (kFieldBits - 1);
+
+constexpr u32 encode(Kind k, u32 a, u32 b = 0) {
+  return (static_cast<u32>(k) << 30) | (b << kFieldBits) | a;
+}
+constexpr Kind kind(u32 op) { return static_cast<Kind>(op >> 30); }
+constexpr u32 first(u32 op) { return op & kFieldMask; }
+constexpr u32 second(u32 op) { return (op >> kFieldBits) & kFieldMask; }
+}  // namespace value_op
 
 struct ReductionStats {
   u64 inputs = 0;
@@ -84,8 +116,12 @@ class ReductionCircuit final : public ReductionCircuitBase {
   /// emitted (nullptr detaches). The trace must outlive the circuit's use.
   void attach_trace(sim::Trace* trace) { trace_ = trace; }
 
+  /// Append every value operation from now on to `log` (see value_op);
+  /// nullptr stops logging. The log must outlive the circuit's use.
+  void record_ops(std::vector<u32>* log) { log_ = log; }
+
   /// Back to the just-constructed state, keeping every buffer's storage and
-  /// detaching any trace. The recycled engine-scratch path reuses one
+  /// detaching any trace and op log. The recycled engine-scratch path reuses one
   /// circuit across ops: construction allocates ~2*alpha row buffers, which
   /// dominated the per-op cost of tiny operations.
   void reset_for_reuse();
@@ -142,6 +178,10 @@ class ReductionCircuit final : public ReductionCircuitBase {
   // Tag layout for adder operations: buffer index, row, slot.
   static u64 make_tag(unsigned buf, unsigned row, unsigned slot);
   static void split_tag(u64 tag, unsigned& buf, unsigned& row, unsigned& slot);
+  /// value_op register of a slot.
+  u32 reg(unsigned buf, unsigned row, unsigned slot) const {
+    return (buf * alpha_ + row) * alpha_ + slot;
+  }
 
   void handle_writeback(const fp::FpResult& r);
   bool try_swap();
@@ -163,6 +203,7 @@ class ReductionCircuit final : public ReductionCircuitBase {
   ReductionStats stats_;
   std::deque<SetResult> out_queue_;
   sim::Trace* trace_ = nullptr;
+  std::vector<u32>* log_ = nullptr;
 };
 
 }  // namespace xd::reduce

@@ -24,6 +24,7 @@
 
 #include "fp/backend.hpp"
 #include "fp/softfloat.hpp"
+#include "sim/schedule.hpp"
 #include "sim/scratch.hpp"
 #include "telemetry/session.hpp"
 
@@ -66,13 +67,16 @@ struct MacReduceRun {
 
 /// Drive the datapath until every set has produced its result into
 /// `out[set_id]` (one set per element of `out`). Cycles count on from
-/// `start_cycle`. Trace events go to `tel`'s trace when it is enabled.
+/// `start_cycle`. Trace events go to `tel`'s trace when it is enabled; the
+/// reduction circuit's value ops go to `rec`'s log when it records.
 template <typename Feeder>
 MacReduceRun run_mac_reduce(TreeScratch& s, unsigned k, Feeder& feed,
                             std::vector<double>& out,
                             telemetry::Session* tel = nullptr,
-                            u64 start_cycle = 0) {
+                            u64 start_cycle = 0,
+                            ScheduleRecorder* rec = nullptr) {
   if (tel && tel->trace().enabled()) s.red.attach_trace(&tel->trace());
+  if (rec) s.red.record_ops(rec->log());
   u64 cycle = start_cycle;
   u64 stalls = 0;
   std::size_t done = 0;
@@ -120,17 +124,34 @@ MacReduceRun run_mac_reduce(TreeScratch& s, unsigned k, Feeder& feed,
 /// Publish the datapath's metrics after a run: the adder tree (k >= 2) as
 /// fpu.<unit>.addtree.*, the circuit as reduce.<unit>.*, the multiplies as
 /// fpu.<unit>.mul.ops, and <layer>.{runs,cycles,flops,stall_cycles}.
-inline void publish_mac_reduce(telemetry::Session& tel, const TreeScratch& s,
-                               unsigned k, std::string_view unit,
-                               std::string_view layer, u64 cycles, u64 flops,
-                               u64 stall_cycles) {
-  if (k >= 2) s.tree.publish(tel.metrics(), cat("fpu.", unit, ".addtree"));
-  s.red.publish(tel.metrics(), cat("reduce.", unit));
-  tel.counter(cat("fpu.", unit, ".mul.ops")).add(flops / 2);
-  tel.counter(cat(layer, ".runs")).add(1);
-  tel.counter(cat(layer, ".cycles")).add(cycles);
-  tel.counter(cat(layer, ".flops")).add(flops);
-  tel.counter(cat(layer, ".stall_cycles")).add(stall_cycles);
+inline void publish_mac_reduce(telemetry::MetricsRegistry& reg,
+                               const TreeScratch& s, unsigned k,
+                               std::string_view unit, std::string_view layer,
+                               u64 cycles, u64 flops, u64 stall_cycles) {
+  if (k >= 2) s.tree.publish(reg, cat("fpu.", unit, ".addtree"));
+  s.red.publish(reg, cat("reduce.", unit));
+  reg.counter(cat("fpu.", unit, ".mul.ops")).add(flops / 2);
+  reg.counter(cat(layer, ".runs")).add(1);
+  reg.counter(cat(layer, ".cycles")).add(cycles);
+  reg.counter(cat(layer, ".flops")).add(flops);
+  reg.counter(cat(layer, ".stall_cycles")).add(stall_cycles);
+}
+
+/// After a simulated run: complete and publish `rec`'s schedule, when it
+/// records. `publish_datapath(reg)` publishes the run's datapath metrics,
+/// which become the schedule's telemetry fragment.
+template <typename LenOf, typename PublishDatapath>
+void finish_recording(ScheduleRecorder& rec, std::size_t sets, LenOf&& len_of,
+                      unsigned k, const MacReduceRun& run, u64 streamed_words,
+                      PublishDatapath&& publish_datapath) {
+  Schedule* s = rec.schedule();
+  if (!s) return;
+  s->set_shape(sets, len_of, k);
+  s->cycles = run.cycles;
+  s->stall_cycles = run.stall_cycles;
+  s->streamed_words = streamed_words;
+  publish_datapath(s->fragment);
+  rec.publish();
 }
 
 }  // namespace xd::sim

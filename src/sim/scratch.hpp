@@ -52,8 +52,9 @@ struct TreeScratch {
   reduce::ReductionCircuit red;
   fp::MultiplierBank mults;
   RingFifo<std::pair<u64, bool>> red_fifo;
-  std::vector<u64> abits;  ///< reusable operand-bits staging
+  std::vector<u64> abits;  ///< reusable operand-bits staging; replay inputs
   std::vector<u64> xbits;
+  std::vector<u64> regs;  ///< schedule replay: circuit registers + set bitmap
   bool in_use = false;
 
   /// All components back to the just-constructed state (storage kept).

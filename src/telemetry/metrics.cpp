@@ -1,5 +1,7 @@
 #include "telemetry/metrics.hpp"
 
+#include <atomic>
+
 namespace xd::telemetry {
 
 namespace {
@@ -35,6 +37,17 @@ bool MetricsRegistry::valid_name(std::string_view name) {
   return true;
 }
 
+u64 MetricsRegistry::next_epoch() {
+  static std::atomic<u64> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+void MetricsRegistry::clear() {
+  metrics_.clear();
+  bindings_.clear();
+  epoch_ = next_epoch();
+}
+
 Metric& MetricsRegistry::get(std::string_view name, MetricKind kind) {
   // Error messages are built only on the failure paths: this accessor is on
   // the recording hot path, and an eagerly evaluated cat() here used to
@@ -48,6 +61,7 @@ Metric& MetricsRegistry::get(std::string_view name, MetricKind kind) {
   if (it == metrics_.end()) {
     it = metrics_.emplace(std::string(name), Metric{}).first;
     it->second.kind = kind;
+    epoch_ = next_epoch();
   } else if (it->second.kind != kind) {
     throw ConfigError(cat("metric '", name, "' already registered as ",
                           kind_name(it->second.kind), ", requested as ",
@@ -78,27 +92,37 @@ double HistogramMetric::percentile(double q) const {
   return MetricsRegistry::percentile(*m_, q);
 }
 
+MetricsRegistry::Binding& MetricsRegistry::binding_for(
+    const MetricsRegistry& source) {
+  for (Binding& b : bindings_) {
+    if (b.source_epoch == source.epoch_) return b;
+  }
+  Binding* b;
+  if (bindings_.size() < kBindings) {
+    b = &bindings_.emplace_back();
+  } else {
+    b = &bindings_[next_binding_];  // round-robin replacement
+    next_binding_ = (next_binding_ + 1) % kBindings;
+  }
+  b->source_epoch = source.epoch_;
+  b->pairs.clear();
+  for (const auto& entry : source.metrics_) b->pairs.emplace_back(&entry, nullptr);
+  return *b;
+}
+
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  // Both maps are sorted, so a single co-iteration replaces a per-name
-  // log-time find: the runtime merges a worker shard after every completed
-  // op, and this walk is what keeps that merge cheap for small ops.
-  auto mit = metrics_.begin();
-  for (const auto& [name, theirs] : other.metrics_) {
+  // The runtime merges a worker shard after every completed op, and a
+  // replayed run merges its recorded fragment: through the binding for the
+  // source's epoch, repeat merges resolve no names at all.
+  for (auto& [source, target] : binding_for(other).pairs) {
+    const Metric& theirs = source->second;
     // Untouched entries carry no recordings — either freshly created or
     // left over in a reset_values() shard from an earlier op of a different
     // kind. Merging one would leak a stale gauge name (with value 0) into
     // this registry, so skip them entirely.
     if (!theirs.touched) continue;
-    while (mit != metrics_.end() && mit->first < name) ++mit;
-    if (mit == metrics_.end() || mit->first != name) {
-      mit = metrics_.emplace_hint(mit, name, Metric{});
-      mit->second.kind = theirs.kind;
-    } else if (mit->second.kind != theirs.kind) {
-      throw ConfigError(cat("metric '", name, "' already registered as ",
-                            kind_name(mit->second.kind), ", merged as ",
-                            kind_name(theirs.kind)));
-    }
-    Metric& mine = mit->second;
+    if (!target) target = &get(source->first, theirs.kind);
+    Metric& mine = *target;
     mine.touched = true;
     switch (theirs.kind) {
       case MetricKind::Counter:
@@ -115,8 +139,34 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   }
 }
 
+void MetricList::set_gauges(MetricsRegistry& reg, const double* values) {
+  const bool same_epoch = epoch_ == reg.epoch();
+  Metric* const* g = bind(reg);
+  const bool known = same_epoch && resets_ == reg.resets();
+  last_.resize(names_.size());
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    if (known && last_[i] == values[i]) continue;
+    Gauge(*g[i]).set(values[i]);
+    last_[i] = values[i];
+  }
+  resets_ = reg.resets();
+}
+
+Metric* const* MetricList::bind(MetricsRegistry& reg) {
+  if (epoch_ != reg.epoch()) {
+    handles_.clear();
+    for (const std::string_view name : names_) {
+      handles_.push_back(&reg.get(name, kind_));
+    }
+    epoch_ = reg.epoch();  // after any inserts the resolution made
+  }
+  return handles_.data();
+}
+
 void MetricsRegistry::reset_values() {
+  ++resets_;
   for (auto& [name, m] : metrics_) {
+    if (!m.touched) continue;  // nothing recorded since the last reset
     m.touched = false;
     m.count = 0;
     m.value = 0.0;

@@ -100,11 +100,25 @@ class MetricsRegistry {
   Gauge gauge(std::string_view name);
   HistogramMetric histogram(std::string_view name);
 
+  MetricsRegistry() : epoch_(next_epoch()) {}
+  // Merge bindings and MetricLists elsewhere point into this registry's
+  // nodes under its epoch, so it is never copied or moved.
+  MetricsRegistry(const MetricsRegistry&) = delete;
+  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
   bool contains(std::string_view name) const;
   const Metric* find(std::string_view name) const;
   std::size_t size() const { return metrics_.size(); }
   bool empty() const { return metrics_.empty(); }
-  void clear() { metrics_.clear(); }
+  void clear();
+
+  /// Changes whenever the set of metrics does (an insert or clear()), and
+  /// is unique across registries: metric pointers cached under one epoch
+  /// (MetricList, merge bindings) stay valid until it changes.
+  u64 epoch() const { return epoch_; }
+  /// reset_values() calls so far: a value written under one (epoch,
+  /// resets) pair is still there unless someone else overwrote that name.
+  u64 resets() const { return resets_; }
 
   /// Zero every metric's recorded values but keep the map nodes (names,
   /// kinds, handle addresses). Much cheaper than clear() + re-registration,
@@ -125,7 +139,8 @@ class MetricsRegistry {
   /// Merge another registry into this one: counters add, gauges take the
   /// other's value (last write wins), histograms combine their moments and
   /// sketches. Used by Session::merge to fold per-worker shards into the
-  /// shared registry; histogram counts and sketch percentiles are exact
+  /// shared registry, and by replayed engine runs to publish their recorded
+  /// datapath metrics; histogram counts and sketch percentiles are exact
   /// under any merge order. Throws ConfigError when a name exists in both
   /// registries with different kinds.
   void merge_from(const MetricsRegistry& other);
@@ -139,10 +154,58 @@ class MetricsRegistry {
   static double percentile(const Metric& m, double q);
 
  private:
+  friend class MetricList;
+
+  static u64 next_epoch();
   Metric& get(std::string_view name, MetricKind kind);
+
+  u64 epoch_;
+  u64 resets_ = 0;
 
   /// std::map: node-based, so Metric addresses are stable across inserts.
   std::map<std::string, Metric, std::less<>> metrics_;
+
+  /// merge_from()'s bindings: for a source registry at one epoch, each of
+  /// the source's entries paired with this registry's metric of that name
+  /// (null until the entry is first merged). A few sources recur (the
+  /// workers' shards, the recorded fragments), so the merges after the
+  /// first walk a flat array and resolve no names. Dropped by clear().
+  struct Binding {
+    u64 source_epoch = 0;
+    std::vector<std::pair<const std::pair<const std::string, Metric>*, Metric*>>
+        pairs;
+  };
+  static constexpr std::size_t kBindings = 8;
+  std::vector<Binding> bindings_;
+  std::size_t next_binding_ = 0;
+  Binding& binding_for(const MetricsRegistry& source);
+};
+
+/// Handles to a fixed list of metrics of one kind in one registry, resolved
+/// again only when the registry's epoch changes: for publishers that set the
+/// same names after every op (the runtime's gauges and latency histograms).
+/// Not synchronized; callers serialize as they do for the registry.
+class MetricList {
+ public:
+  MetricList(MetricKind kind, std::vector<std::string_view> names)
+      : kind_(kind), names_(std::move(names)) {}
+
+  /// The handles, in name order, for `reg` (creating missing metrics).
+  Metric* const* bind(MetricsRegistry& reg);
+
+  /// For a gauge list: set gauge i to values[i]. While `reg` keeps its
+  /// epoch and has not been reset, only the gauges whose value changed
+  /// since the last call are written, so a per-op publisher touches few
+  /// metrics. A name this list publishes must not also be set elsewhere.
+  void set_gauges(MetricsRegistry& reg, const double* values);
+
+ private:
+  MetricKind kind_;
+  std::vector<std::string_view> names_;
+  u64 epoch_ = 0;
+  std::vector<Metric*> handles_;
+  u64 resets_ = 0;  ///< the registry's resets() when last_ was written
+  std::vector<double> last_;
 };
 
 }  // namespace xd::telemetry

@@ -64,7 +64,18 @@ class Session {
   /// Serializes recording and export on a shared Session. Writers that
   /// record directly (the runtime's synchronous path) and readers that
   /// export while jobs may still be in flight both take this.
-  std::unique_lock<std::mutex> lock() { return std::unique_lock(mu_); }
+  std::unique_lock<std::mutex> lock() {
+    // Spin briefly before parking: pool workers hold the lock for about a
+    // microsecond per completed op, far less than a sleep and wake-up takes
+    // to hand it over.
+    for (int i = 0; i < kLockSpins; ++i) {
+      if (mu_.try_lock()) return std::unique_lock(mu_, std::adopt_lock);
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#endif
+    }
+    return std::unique_lock(mu_);
+  }
 
   /// Fold a worker shard into this session under the lock: metrics merge
   /// (counters add, histograms combine, gauges last-write-wins), completed
@@ -105,6 +116,7 @@ class Session {
   }
 
  private:
+  static constexpr int kLockSpins = 200;
   std::mutex mu_;
   MetricsRegistry metrics_;
   SpanRecorder spans_;

@@ -236,12 +236,20 @@ double draw_value(Rng& rng, ValueMode mode) {
           1e16,    -1e16,   2.2250738585072014e-308,  // DBL_MIN
           -2.2250738585072014e-308,
       };
-      const auto idx = rng.uniform_int(0, std::size(kPool) + 1);
-      if (idx == std::size(kPool)) {
-        return fp::from_bits(fp::kPosInf);
-      }
-      if (idx == std::size(kPool) + 1) {
-        return fp::from_bits(fp::kDefaultNaN);
+      // Non-finite operands as bit patterns: both infinities, the default
+      // NaN, a signalling NaN, and quiet NaNs of both signs with distinct
+      // payloads, so a result shows which operand's NaN an engine
+      // propagated (and an operand-order change of any add or multiply).
+      static constexpr u64 kSpecial[] = {
+          fp::kPosInf,           fp::kNegInf,
+          fp::kDefaultNaN,       0x7FF0'0000'0000'0001ull,  // sNaN
+          0x7FF8'0000'0000'0ABCull,  0xFFF8'0000'0000'BEEFull,
+          0x7FFC'0000'0000'0001ull,  0xFFFA'0000'0000'1234ull,
+      };
+      const auto idx = rng.uniform_int(
+          0, std::size(kPool) + std::size(kSpecial) - 1);
+      if (idx >= std::size(kPool)) {
+        return fp::from_bits(kSpecial[idx - std::size(kPool)]);
       }
       return kPool[idx];
     }
@@ -417,6 +425,20 @@ void materialize_graph(const FuzzCase& fc, CaseData& data, Rng& rng) {
 }
 
 }  // namespace
+
+void redraw_values(const FuzzCase& fc, CaseData& data, u64 salt) {
+  Rng rng(fc.vseed + 0x9e3779b97f4a7c15ull * (salt + 1));
+  const auto redraw = [&](std::vector<double>& v) {
+    for (auto& e : v) e = draw_value(rng, fc.mode);
+  };
+  redraw(data.a);
+  redraw(data.b);
+  redraw(data.x);
+  for (auto& v : data.us) redraw(v);
+  for (auto& v : data.vs) redraw(v);
+  redraw(data.sparse.values);
+  for (auto& v : data.pool) redraw(v);
+}
 
 void materialize(const FuzzCase& fc, CaseData& data) {
   Rng rng(fc.vseed);

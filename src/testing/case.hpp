@@ -156,6 +156,11 @@ struct CaseData {
 /// operands their sabotage describes.
 void materialize(const FuzzCase& fc, CaseData& data);
 
+/// Draw new operand values in place, keeping every shape, sparsity
+/// structure and vector address (so desc and graph stay valid): a second
+/// operand set for the same plans. Deterministic in (fc.vseed, salt).
+void redraw_values(const FuzzCase& fc, CaseData& data, u64 salt);
+
 /// One value in the given mode (exposed for tests).
 double draw_value(Rng& rng, ValueMode mode);
 

@@ -77,6 +77,58 @@ std::optional<std::string> outcome_diff(const Outcome& want,
     return cat("staging ", got.report.staging_cycles,
                " != ", want.report.staging_cycles);
   }
+  if (want.report.compute_cycles != got.report.compute_cycles) {
+    return cat("compute cycles ", got.report.compute_cycles,
+               " != ", want.report.compute_cycles);
+  }
+  if (!bits_equal(want.report.sram_words, got.report.sram_words)) {
+    return cat("sram words ", got.report.sram_words,
+               " != ", want.report.sram_words);
+  }
+  if (!bits_equal(want.report.dram_words, got.report.dram_words)) {
+    return cat("dram words ", got.report.dram_words,
+               " != ", want.report.dram_words);
+  }
+  if (!bits_equal(want.report.clock_mhz, got.report.clock_mhz)) {
+    return cat("clock ", got.report.clock_mhz, " != ", want.report.clock_mhz);
+  }
+  if (want.report.design != got.report.design) {
+    return cat("design '", got.report.design, "' != '", want.report.design, "'");
+  }
+  return std::nullopt;
+}
+
+/// The op kinds whose plans record a reduction schedule and replay it
+/// (graphs are checked node by node in check_graph).
+bool replays(FuzzKind k) {
+  return k == FuzzKind::Dot || k == FuzzKind::DotBatch ||
+         k == FuzzKind::Gemv || k == FuzzKind::GemvAuto;
+}
+
+/// Replay against simulation on operands the schedule was not recorded
+/// with, under both backends: a runtime warmed on the case's operands
+/// replays a second draw of the same shapes, and a fresh runtime simulates
+/// that draw. `run(rt, data)` runs the case and `diff` compares outcomes.
+template <typename Run, typename Diff>
+std::optional<CheckFailure> check_replay(const FuzzCase& fc, const CaseData& data,
+                                         Run&& run, Diff&& diff) {
+  CaseData other;
+  materialize(fc, other);
+  redraw_values(fc, other, 1);
+  for (const bool swap : {false, true}) {
+    if (swap && !native_is_conformant()) break;
+    std::optional<fp::ScopedBackend> scoped;
+    if (swap) scoped.emplace(other_backend());
+    Runtime warm(fc.config());
+    run(warm, data);  // records
+    const auto replayed = run(warm, other);
+    Runtime fresh(fc.config());
+    if (auto d = diff(run(fresh, other), replayed)) {
+      return CheckFailure{
+          "replay", cat(backend_name(fp::active_backend().kind),
+                        " replay differs from simulation on new operands: ", *d)};
+    }
+  }
   return std::nullopt;
 }
 
@@ -414,6 +466,11 @@ std::optional<CheckFailure> check_op(const FuzzCase& fc, CaseData& data) {
                 " completions, expected at least 3 (1 submit + 2 batch)")};
       }
     }
+  }
+
+  if (replays(fc.kind)) {
+    const auto run = [](Runtime& r, const CaseData& d) { return r.run(d.desc); };
+    if (auto f = check_replay(fc, data, run, outcome_diff)) return f;
   }
 
   // Cycle count monotone in problem size.
@@ -834,6 +891,13 @@ std::optional<CheckFailure> check_graph(const FuzzCase& fc, CaseData& data) {
           "backend-equivalence",
           cat(backend_name(fp::active_backend().kind), " backend differs: ", *d)};
     }
+  }
+
+  {
+    const auto run = [](Runtime& r, const CaseData& d) {
+      return r.run_graph(d.graph);
+    };
+    if (auto f = check_replay(fc, data, run, graph_diff)) return f;
   }
 
   // A live telemetry session must not perturb the graph run, and the

@@ -33,6 +33,7 @@
 #include "host/runtime.hpp"
 #include "host/shard.hpp"
 #include "machine/node.hpp"
+#include "sim/schedule.hpp"
 #include "telemetry/session.hpp"
 
 using namespace xd;
@@ -137,7 +138,8 @@ struct MacCase {
 // name string's address, which changes from build to build.
 void PrintTo(const MacCase& c, std::ostream* os) { *os << c.name; }
 
-EngineRun run_mac_case(const MacCase& c) {
+/// `slot` hands dot and tree GEMV a schedule slot, as the runtime does.
+EngineRun run_mac_case(const MacCase& c, sim::ScheduleSlot* slot = nullptr) {
   constexpr std::size_t rows = 13, cols = 24;
   Rng rng(4100 + c.k);
   telemetry::Session tel;
@@ -153,6 +155,7 @@ EngineRun run_mac_case(const MacCase& c) {
       cfg.k = c.k;
       cfg.mem_words_per_cycle = c.rate;
       cfg.telemetry = &tel;
+      cfg.schedule = slot;
       auto out = blas1::DotEngine(cfg).run(us, vs);
       r.values = std::move(out.results);
       r.report = out.report;
@@ -165,6 +168,7 @@ EngineRun run_mac_case(const MacCase& c) {
       cfg.k = c.k;
       cfg.mem_words_per_cycle = c.rate;
       cfg.telemetry = &tel;
+      cfg.schedule = slot;
       auto out = blas2::MxvTreeEngine(cfg).run(a, rows, cols, x);
       r.values = std::move(out.y);
       r.report = out.report;
@@ -215,7 +219,18 @@ EngineRun run_mac_case(const MacCase& c) {
 class MacReduceEngines : public ::testing::TestWithParam<MacCase> {};
 
 TEST_P(MacReduceEngines, PinnedTimingBitsAndMetricNames) {
-  expect_pinned(run_mac_case(GetParam()), GetParam().pins);
+  const MacCase& c = GetParam();
+  expect_pinned(run_mac_case(c), c.pins);
+  if (c.engine != Datapath::Dot && c.engine != Datapath::Tree) return;
+  // Dot and tree GEMV run twice more with one schedule slot, as a runtime
+  // runs a plan: the first run simulates and records, the second replays.
+  // Both must hit the pinned row, telemetry vocabulary included.
+  sim::ScheduleSlot slot;
+  expect_pinned(run_mac_case(c, &slot), c.pins);
+  ASSERT_NE(slot.get(), nullptr);
+  EXPECT_EQ(slot.replays(), 0u);
+  expect_pinned(run_mac_case(c, &slot), c.pins);
+  EXPECT_EQ(slot.replays(), 1u);
 }
 
 using D = Datapath;

@@ -6,7 +6,9 @@
 // backends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -118,7 +120,82 @@ void fused_gemm_rows(const double* a, const double* b, double* c,
   }
 }
 
+// Adder-tree stream kernels wrong only in their padding or their tree:
+// one pads tail lanes with -0 products, the other folds the lanes left to
+// right. Every scalar add and mul stays IEEE-correct.
+template <bool NegZeroPad>
+void miswired_mac_groups(const double* a, const double* b, u64* out,
+                         std::size_t n, std::size_t k) {
+  for (std::size_t i = 0; i < n; i += k) {
+    u64 p[fp::kMaxMacLanes] = {};
+    const std::size_t lanes = std::min(k, n - i);
+    for (std::size_t j = 0; j < k; ++j) {
+      p[j] = j < lanes ? fp::mul(fp::to_bits(a[i + j]), fp::to_bits(b[i + j]))
+                       : (NegZeroPad ? fp::kNegZero : fp::kPosZero);
+    }
+    if (NegZeroPad) {
+      *out++ = fp::soft_backend().fold_n(p, k);
+    } else {
+      u64 acc = p[0];
+      for (std::size_t j = 1; j < k; ++j) acc = fp::add(acc, p[j]);
+      *out++ = acc;
+    }
+  }
+}
+
 }  // namespace
+
+TEST(Conformance, MiswiredMacGroupsIsRejected) {
+  for (const Backend::MacGroups kernel :
+       {&miswired_mac_groups<true>, &miswired_mac_groups<false>}) {
+    Backend bad = fp::soft_backend();
+    bad.mac_groups = kernel;
+    const auto rep = fp::run_conformance(bad);
+    EXPECT_FALSE(rep.passed);
+    EXPECT_NE(rep.first_failure.find("mac_groups"), std::string::npos)
+        << rep.first_failure;
+  }
+}
+
+TEST(MacGroups, MatchesMulNAndFoldNOnExtremeOperands) {
+  // The simulated datapath per group: mul_n over the lanes, +0 in the tail
+  // lanes, fold_n over k. Both backends' mac_groups must give its bits, on
+  // Extreme-pool operands (every NaN payload and infinity sign) and on
+  // uniform operands salted with them.
+  Rng rng(2830);
+  for (const Backend* be : {&fp::soft_backend(), &fp::native_backend()}) {
+    for (std::size_t k : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
+      for (std::size_t n : {1u, 3u, 16u, 37u, 130u}) {
+        for (int trial = 0; trial < 4; ++trial) {
+          std::vector<double> a(n), b(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            const bool extreme = trial % 2 == 0 || rng.uniform_int(0, 15) == 0;
+            a[i] = extreme ? xd::testing::draw_value(rng, xd::testing::ValueMode::Extreme)
+                           : rng.uniform(-1.0, 1.0);
+            b[i] = rng.uniform_int(0, 7) == 0
+                       ? xd::testing::draw_value(rng, xd::testing::ValueMode::Extreme)
+                       : rng.uniform(-1e3, 1e3);
+          }
+          const std::size_t groups = (n + k - 1) / k;
+          std::vector<u64> got(groups);
+          be->mac_groups(a.data(), b.data(), got.data(), n, k);
+          for (std::size_t g = 0; g < groups; ++g) {
+            u64 ab[64] = {}, bb[64] = {}, p[64] = {};
+            const std::size_t lanes = std::min(k, n - g * k);
+            std::memcpy(ab, &a[g * k], lanes * sizeof(double));
+            std::memcpy(bb, &b[g * k], lanes * sizeof(double));
+            be->mul_n(ab, bb, p, lanes);
+            std::fill(p + lanes, p + k, fp::kPosZero);
+            const u64 want = k == 1 ? p[0] : be->fold_n(p, k);
+            ASSERT_EQ(got[g], want) << fp::backend_name(be->kind) << " k=" << k
+                                    << " n=" << n << " trial " << trial
+                                    << " group " << g;
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(Conformance, FlushToZeroBackendIsRejected) {
   Backend bad = fp::soft_backend();

@@ -7,12 +7,16 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "common/random.hpp"
 #include "fp/softfloat.hpp"
 #include "reduce/baselines.hpp"
 #include "reduce/reduction_circuit.hpp"
+#include "sim/mac_reduce.hpp"
+#include "sim/schedule.hpp"
 
 using namespace xd;
 using reduce::Input;
@@ -530,4 +534,89 @@ TEST(Proposed, BurstThenSilence) {
     }
     ASSERT_LT(++guard, 1'000'000u);
   }
+}
+
+// ---- the value-op log (reduce::value_op, sim/schedule.hpp) ---------------
+
+namespace {
+
+/// Drive `red` over sets of the given sizes (one input per cycle when it
+/// accepts) until every set is emitted; returns the sums by set id.
+std::vector<u64> drive(reduce::ReductionCircuit& red,
+                       const std::vector<std::vector<u64>>& sets) {
+  std::vector<u64> out(sets.size());
+  std::size_t set = 0, pos = 0, done = 0;
+  while (done < sets.size()) {
+    std::optional<reduce::Input> in;
+    if (set < sets.size()) {
+      in = reduce::Input{sets[set][pos], pos + 1 == sets[set].size()};
+    }
+    if (red.cycle(in) && in && ++pos == sets[set].size()) {
+      pos = 0;
+      ++set;
+    }
+    while (auto r = red.take_result()) {
+      out[r->set_id] = r->bits;
+      ++done;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(ValueOpLog, ReplayReproducesTheCircuitBitForBit) {
+  // Set sizes below, at and far above alpha, including single-element sets,
+  // so the log holds every op kind and out-of-order emits.
+  Rng rng(2820);
+  std::vector<std::vector<u64>> sets;
+  for (std::size_t len : {1, 3, 14, 15, 40, 2, 1, 90, 7, 28, 1, 5}) {
+    std::vector<u64> s(len);
+    for (auto& v : s) v = fp::to_bits(rng.uniform(-1.0, 1.0));
+    sets.push_back(std::move(s));
+  }
+  sim::TreeScratch scratch(sim::mac_reduce_key(1, fp::kAdderStages,
+                                               fp::kMultiplierStages));
+  sim::ScheduleSlot slot;
+  sim::ScheduleRecorder rec(&slot, scratch);
+  ASSERT_NE(rec.log(), nullptr);
+  scratch.red.record_ops(rec.log());
+  const std::vector<u64> want = drive(scratch.red, sets);
+  std::set<unsigned> kinds;
+  for (const u32 op : *rec.log()) kinds.insert(reduce::value_op::kind(op));
+  EXPECT_EQ(kinds.size(), 4u);
+
+  sim::Schedule& s = *rec.schedule();
+  s.set_shape(sets.size(), [&](std::size_t i) { return sets[i].size(); }, 1);
+  rec.publish();
+  ASSERT_NE(slot.get(), nullptr);
+  scratch.abits.clear();
+  for (const auto& set : sets) scratch.abits.insert(scratch.abits.end(), set.begin(), set.end());
+  std::vector<double> got(sets.size());
+  sim::replay(*slot.get(), scratch, scratch.abits.size(), got);
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    EXPECT_EQ(fp::to_bits(got[i]), want[i]) << "set " << i;
+  }
+}
+
+TEST(ValueOpLog, ReplayRejectsAStreamItWasNotRecordedFor) {
+  sim::TreeScratch scratch(sim::mac_reduce_key(1, fp::kAdderStages,
+                                               fp::kMultiplierStages));
+  sim::Schedule s;
+  s.registers = 2 * fp::kAdderStages * fp::kAdderStages;
+  s.set_shape(1, [](std::size_t) { return std::size_t{2}; }, 1);
+  namespace vo = reduce::value_op;
+  s.ops = {vo::encode(vo::Direct, 0), vo::encode(vo::Direct, 1),
+           vo::encode(vo::Drain, 0, 1), vo::encode(vo::Emit, 0, vo::kEmitBias)};
+  scratch.abits = {fp::to_bits(1.0), fp::to_bits(2.0)};
+  std::vector<double> out(1);
+  sim::replay(s, scratch, 2, out);
+  EXPECT_EQ(out[0], 3.0);
+  // Fewer staged inputs than recorded, or a set emitted twice, throw.
+  EXPECT_THROW(sim::replay(s, scratch, 1, out), SimError);
+  s.ops.push_back(vo::encode(vo::Emit, 0, vo::kEmitBias - 1));
+  EXPECT_THROW(sim::replay(s, scratch, 2, out), SimError);
+  s.ops.pop_back();
+  s.ops.pop_back();
+  EXPECT_THROW(sim::replay(s, scratch, 2, out), SimError);  // set never emitted
 }

@@ -8,10 +8,13 @@
 #include <atomic>
 #include <vector>
 
+#include "blas1/dot_engine.hpp"
+#include "blas2/mxv_tree.hpp"
 #include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "host/context.hpp"
 #include "host/runtime.hpp"
+#include "sim/schedule.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/session.hpp"
@@ -734,4 +737,161 @@ TEST(Runtime, TinySubmitStormAcrossShapesWithTinyCache) {
   const auto pool_work1 =
       ThreadPool::shared().local_pops() + ThreadPool::shared().steals();
   EXPECT_GE(pool_work1 - pool_work0, static_cast<unsigned long long>(kOps));
+}
+
+// ---- reduction-schedule replay (sim/schedule.hpp) -------------------------
+
+namespace {
+
+void expect_bitwise(const std::vector<double>& want,
+                    const std::vector<double>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(fp::to_bits(want[i]), fp::to_bits(got[i])) << "values[" << i << "]";
+  }
+}
+
+/// The schedule slot a runtime's plan for `desc` carries.
+const sim::ScheduleSlot& slot_of(Runtime& rt, const OpDesc& desc) {
+  return *rt.pin_plan(desc).plan().schedule;
+}
+
+std::size_t trace_events(const telemetry::Session& tel) {
+  std::size_t n = 0;
+  tel.trace().for_each([&n](const sim::TraceEvent&) { ++n; });
+  return n;
+}
+
+}  // namespace
+
+TEST(Replay, WarmRunsReplayAndMatchAFreshSimulation) {
+  Rng rng(2801);
+  const std::size_t rows = 40, cols = 37;
+  const auto a = rng.matrix(rows, cols);
+  const auto x1 = rng.vector(cols), x2 = rng.vector(cols);
+  const auto u1 = rng.vector(301), v1 = rng.vector(301);
+  const auto u2 = rng.vector(301), v2 = rng.vector(301);
+  Runtime rt{ContextConfig{}};
+  struct Op {
+    OpDesc first, second;
+  } ops[] = {{OpDesc::gemv(a, rows, cols, x1), OpDesc::gemv(a, rows, cols, x2)},
+             {OpDesc::dot(u1, v1), OpDesc::dot(u2, v2)}};
+  for (const Op& op : ops) {
+    rt.run(op.first);  // simulates and records
+    const sim::ScheduleSlot& slot = slot_of(rt, op.first);
+    ASSERT_NE(slot.get(), nullptr);
+    const Outcome replayed = rt.run(op.second);
+    EXPECT_EQ(slot.replays(), 1u);
+    Runtime fresh{ContextConfig{}};
+    const Outcome simulated = fresh.run(op.second);
+    EXPECT_EQ(slot_of(fresh, op.second).replays(), 0u);
+    expect_bitwise(simulated.values, replayed.values);
+    EXPECT_EQ(replayed.report.cycles, simulated.report.cycles);
+    EXPECT_EQ(replayed.report.stall_cycles, simulated.report.stall_cycles);
+    EXPECT_EQ(replayed.report.sram_words, simulated.report.sram_words);
+  }
+}
+
+TEST(Replay, DotBatchOfOtherLengthsSimulates) {
+  // Pair lengths are not part of the plan key: a batch of the same count
+  // with other lengths must not replay the recorded schedule.
+  Rng rng(2802);
+  std::vector<std::vector<double>> us, vs, us2, vs2;
+  for (std::size_t len : {24, 7, 1, 33}) {
+    us.push_back(rng.vector(len));
+    vs.push_back(rng.vector(len));
+  }
+  for (std::size_t len : {7, 24, 33, 1}) {
+    us2.push_back(rng.vector(len));
+    vs2.push_back(rng.vector(len));
+  }
+  Runtime rt{ContextConfig{}};
+  rt.run(OpDesc::dot_batch(us, vs));
+  const sim::ScheduleSlot& slot = slot_of(rt, OpDesc::dot_batch(us, vs));
+  ASSERT_NE(slot.get(), nullptr);
+  const Outcome other = rt.run(OpDesc::dot_batch(us2, vs2));
+  EXPECT_EQ(slot.replays(), 0u);
+  Runtime fresh{ContextConfig{}};
+  const Outcome want = fresh.run(OpDesc::dot_batch(us2, vs2));
+  expect_bitwise(want.values, other.values);
+  EXPECT_EQ(other.report.cycles, want.report.cycles);
+  rt.run(OpDesc::dot_batch(us, vs));
+  EXPECT_EQ(slot.replays(), 1u);
+}
+
+TEST(Replay, TracedRunSimulates) {
+  Rng rng(2803);
+  const auto a = rng.matrix(24, 24);
+  const auto x = rng.vector(24);
+  const OpDesc desc = OpDesc::gemv(a, 24, 24, x);
+  telemetry::Session tel;
+  tel.trace().set_enabled(true);
+  ContextConfig cfg;
+  cfg.telemetry = &tel;
+  Runtime rt(cfg);
+  const Outcome first = rt.run(desc);
+  const std::size_t after_first = trace_events(tel);
+  ASSERT_GT(after_first, 0u);
+  const sim::ScheduleSlot& slot = slot_of(rt, desc);
+  ASSERT_NE(slot.get(), nullptr);  // a traced run may still record
+  const Outcome second = rt.run(desc);
+  EXPECT_EQ(slot.replays(), 0u);
+  EXPECT_EQ(trace_events(tel), 2 * after_first);
+  expect_bitwise(first.values, second.values);
+  tel.trace().set_enabled(false);
+  rt.run(desc);
+  EXPECT_EQ(slot.replays(), 1u);
+}
+
+TEST(Replay, ReplayedRunPublishesTheSimulatedMetrics) {
+  // Engine metrics only: the runtime's own gauges carry wall-clock data.
+  Rng rng(2804);
+  const std::size_t rows = 19, cols = 45;
+  const auto a = rng.matrix(rows, cols);
+  const auto x = rng.vector(cols);
+  std::vector<std::vector<double>> us, vs;
+  for (std::size_t len : {64, 5, 17}) {
+    us.push_back(rng.vector(len));
+    vs.push_back(rng.vector(len));
+  }
+  const auto run = [&](bool dot, sim::ScheduleSlot* slot) {
+    telemetry::Session tel;
+    if (dot) {
+      blas1::DotConfig cfg;
+      cfg.telemetry = &tel;
+      cfg.schedule = slot;
+      blas1::DotEngine(cfg).run(us, vs);
+    } else {
+      blas2::MxvTreeConfig cfg;
+      cfg.telemetry = &tel;
+      cfg.schedule = slot;
+      blas2::MxvTreeEngine(cfg).run(a, rows, cols, x);
+    }
+    return telemetry::metrics_to_json(tel.metrics());
+  };
+  for (const bool dot : {true, false}) {
+    const std::string simulated = run(dot, nullptr);
+    sim::ScheduleSlot slot;
+    EXPECT_EQ(run(dot, &slot), simulated);  // records
+    EXPECT_EQ(run(dot, &slot), simulated);  // replays
+    EXPECT_EQ(slot.replays(), 1u);
+  }
+}
+
+TEST(Replay, PlanCacheExportsScheduleGauges) {
+  Rng rng(2805);
+  const auto u = rng.vector(100), v = rng.vector(100);
+  telemetry::Session tel;
+  ContextConfig cfg;
+  cfg.telemetry = &tel;
+  Runtime rt(cfg);
+  rt.run(OpDesc::gemm(rng.matrix(8, 8), rng.matrix(8, 8), 8));
+  EXPECT_FALSE(tel.metrics().contains("host.plan.schedules"));
+  rt.run(OpDesc::dot(u, v));
+  const auto* n = tel.metrics().find("host.plan.schedules");
+  const auto* bytes = tel.metrics().find("host.plan.schedule_bytes");
+  ASSERT_NE(n, nullptr);
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_EQ(n->value, 1.0);
+  EXPECT_GT(bytes->value, 0.0);
 }

@@ -474,3 +474,29 @@ TEST(ShardResources, DefaultInstallationRunStaysUnderAnRssBound) {
   EXPECT_EQ(gemv.values.size(), rows);
   EXPECT_GT(gemv.interchassis_words, 0.0);
 }
+
+TEST(ShardReplay, ConcurrentFirstRunsRecordOneSchedule) {
+  // GEMV 192 at l = 3: three equal 64-row shards run concurrently on the
+  // pool against one plan. One of them records its schedule; the other two
+  // simulate. Every later run replays, bit-identical to the first.
+  Rng rng(2810);
+  const std::size_t n = 192;
+  const auto a = rng.matrix(n, n);
+  const auto x = rng.vector(n);
+  Runtime rt{ContextConfig{}};
+  ShardScheduler sched(rt, small_system());
+  const ShardOutcome first = sched.run(OpDesc::gemv(a, n, n, x), 3);
+  ASSERT_EQ(first.plan.l, 3u);
+  EXPECT_EQ(rt.plan_cache().schedule_use().schedules, 1u);
+  const ShardOutcome second = sched.run(OpDesc::gemv(a, n, n, x), 3);
+  EXPECT_EQ(rt.plan_cache().schedule_use().schedules, 1u);
+  expect_bitwise(first.values, second.values, "replayed shards");
+  EXPECT_EQ(second.report.cycles, first.report.cycles);
+  for (unsigned i = 0; i < 3; ++i) {
+    EXPECT_EQ(second.shards[i].report.cycles, first.shards[i].report.cycles);
+  }
+  Runtime fresh{ContextConfig{}};
+  ShardScheduler again(fresh, small_system());
+  expect_bitwise(first.values, again.run(OpDesc::gemv(a, n, n, x), 3).values,
+                 "fresh runtime");
+}

@@ -68,6 +68,50 @@ TEST(Metrics, KindMismatchThrows) {
   EXPECT_THROW(reg.histogram("mem.dot.words"), ConfigError);
 }
 
+TEST(Metrics, RepeatMergesFollowTheSourcesShape) {
+  // merge_from binds a source's entries once per source epoch: merges
+  // after the source gained a metric, and after the target was cleared,
+  // must still land every value on its own name.
+  MetricsRegistry src, dst;
+  src.counter("b.count").add(2);
+  src.gauge("c.gauge").set(0.5);
+  dst.merge_from(src);
+  dst.merge_from(src);
+  EXPECT_EQ(dst.counter("b.count").value(), 4u);
+  src.counter("a.first").add(7);  // sorts before the bound entries
+  dst.merge_from(src);
+  EXPECT_EQ(dst.counter("a.first").value(), 7u);
+  EXPECT_EQ(dst.counter("b.count").value(), 6u);
+  EXPECT_DOUBLE_EQ(dst.gauge("c.gauge").value(), 0.5);
+  src.reset_values();
+  src.counter("b.count").add(1);
+  dst.merge_from(src);  // untouched entries stay out
+  EXPECT_EQ(dst.counter("a.first").value(), 7u);
+  EXPECT_EQ(dst.counter("b.count").value(), 7u);
+  dst.clear();
+  dst.merge_from(src);
+  EXPECT_EQ(dst.size(), 1u);
+  EXPECT_EQ(dst.counter("b.count").value(), 1u);
+}
+
+TEST(Metrics, MetricListRewritesGaugesAfterAReset) {
+  MetricList list(MetricKind::Gauge, {"x.one", "x.two"});
+  MetricsRegistry reg;
+  const double v1[] = {1.0, 2.0};
+  list.set_gauges(reg, v1);
+  EXPECT_DOUBLE_EQ(reg.gauge("x.two").value(), 2.0);
+  reg.reset_values();
+  list.set_gauges(reg, v1);  // unchanged values, but the reset dropped them
+  EXPECT_DOUBLE_EQ(reg.gauge("x.one").value(), 1.0);
+  EXPECT_TRUE(reg.find("x.two")->touched);
+  const double v2[] = {1.0, 5.0};
+  list.set_gauges(reg, v2);
+  EXPECT_DOUBLE_EQ(reg.gauge("x.two").value(), 5.0);
+  MetricsRegistry other;  // another registry binds its own handles
+  list.set_gauges(other, v2);
+  EXPECT_DOUBLE_EQ(other.gauge("x.one").value(), 1.0);
+}
+
 TEST(Metrics, NamesAreSorted) {
   MetricsRegistry reg;
   reg.counter("z.last");
