@@ -368,6 +368,23 @@ TEST(Tuner, PublishesHostTunerGauges) {
   EXPECT_GT(session.gauge("host.tuner.pruned_area").value(), 0.0);
 }
 
+TEST(Tuner, PinnedPlansCountInHostTunerGauges) {
+  // A plan built by pin_plan went through design selection as much as one
+  // built by a cache miss.
+  Rng rng(10);
+  ContextConfig cfg;
+  cfg.tune = TunePolicy::Model;
+  telemetry::Session session;
+  cfg.telemetry = &session;
+  Runtime rt(cfg);
+  const auto a = rng.matrix(96, 96);
+  const auto x = rng.vector(96);
+  const OpDesc d = OpDesc::gemv(a, 96, 96, x);
+  rt.run(d, rt.pin_plan(d));
+  EXPECT_EQ(session.gauge("host.tuner.plans").value(), 1.0);
+  EXPECT_GT(session.gauge("host.tuner.candidates").value(), 0.0);
+}
+
 TEST(Tuner, EngineSignatureCoversValueAffectingParams) {
   blas2::MxvTreeConfig t1, t2;
   t1.k = 4;
