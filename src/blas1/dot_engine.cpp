@@ -120,15 +120,15 @@ DotOutcome DotEngine::run_impl(const std::vector<double>* const* us,
   const bool traced = tel && tel->trace().enabled();
   if (const sim::Schedule* sched =
           sim::replayable(cfg_.schedule, traced, count, len_of)) {
-    scratch->abits.resize(sched->inputs);
     const fp::Backend& be = fp::active_backend();
-    std::size_t staged = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      be.mac_groups(us[i]->data(), vs[i]->data(),
-                    scratch->abits.data() + staged, us[i]->size(), k);
-      staged += (us[i]->size() + k - 1) / k;
-    }
-    sim::replay(*sched, *scratch, staged, out.results);
+    sim::replay(*sched, *scratch, out.results,
+                [&](std::size_t i0, std::size_t i1, u64* dst) {
+                  for (std::size_t i = i0; i < i1; ++i) {
+                    const std::size_t n = us[i]->size();
+                    be.mac_groups(us[i]->data(), vs[i]->data(), dst, n, k);
+                    dst += (n + k - 1) / k;
+                  }
+                });
     finish(sched->cycles, sched->stall_cycles, sched->streamed_words);
     if (tel) tel->metrics().merge_from(sched->fragment);
     return out;

@@ -93,13 +93,13 @@ MxvOutcome MxvTreeEngine::run(const std::vector<double>& a, std::size_t rows,
   if (const sim::Schedule* sched =
           sim::replayable(cfg_.schedule, traced, rows, len_of)) {
     const std::size_t groups = (cols + k - 1) / k;
-    scratch->abits.resize(rows * groups);
     const fp::Backend& be = fp::active_backend();
-    for (std::size_t r = 0; r < rows; ++r) {
-      be.mac_groups(a.data() + r * cols, x.data(),
-                    scratch->abits.data() + r * groups, cols, k);
-    }
-    sim::replay(*sched, *scratch, rows * groups, out.y);
+    sim::replay(*sched, *scratch, out.y,
+                [&](std::size_t r0, std::size_t r1, u64* dst) {
+                  for (std::size_t r = r0; r < r1; ++r, dst += groups) {
+                    be.mac_groups(a.data() + r * cols, x.data(), dst, cols, k);
+                  }
+                });
     finish(sched->cycles, sched->stall_cycles, sched->streamed_words);
     if (tel) tel->metrics().merge_from(sched->fragment);
     return out;

@@ -54,7 +54,7 @@ struct TreeScratch {
   RingFifo<std::pair<u64, bool>> red_fifo;
   std::vector<u64> abits;  ///< reusable operand-bits staging; replay inputs
   std::vector<u64> xbits;
-  std::vector<u64> regs;  ///< schedule replay: circuit registers + set bitmap
+  std::vector<u64> regs;  ///< schedule replay: one register file per block
   bool in_use = false;
 
   /// All components back to the just-constructed state (storage kept).

@@ -3,15 +3,20 @@
 // the no-stall property for the workload classes the BLAS designs generate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <memory>
 #include <numeric>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "blas1/dot_engine.hpp"
+#include "blas2/mxv_tree.hpp"
 #include "common/random.hpp"
+#include "fp/backend.hpp"
 #include "fp/softfloat.hpp"
 #include "reduce/baselines.hpp"
 #include "reduce/reduction_circuit.hpp"
@@ -563,6 +568,82 @@ std::vector<u64> drive(reduce::ReductionCircuit& red,
   return out;
 }
 
+/// Record `sets` through a fresh k = 1 circuit under the active backend:
+/// publishes the schedule into `slot` and returns the circuit's own sums.
+std::vector<u64> record(sim::ScheduleSlot& slot,
+                        const std::vector<std::vector<u64>>& sets) {
+  sim::TreeScratch scratch(sim::mac_reduce_key(1, fp::kAdderStages,
+                                               fp::kMultiplierStages));
+  sim::ScheduleRecorder rec(&slot, scratch);
+  EXPECT_NE(rec.log(), nullptr);
+  scratch.red.record_ops(rec.log());
+  std::vector<u64> want = drive(scratch.red, sets);
+  rec.schedule()->set_shape(
+      sets.size(), [&](std::size_t i) { return sets[i].size(); }, 1);
+  rec.publish();
+  return want;
+}
+
+/// The stage callable for raw circuit inputs (k = 1): set i's elements.
+auto raw_stage(const std::vector<std::vector<u64>>& sets) {
+  return [&sets](std::size_t s0, std::size_t s1, u64* dst) {
+    for (std::size_t i = s0; i < s1; ++i) {
+      dst = std::copy(sets[i].begin(), sets[i].end(), dst);
+    }
+  };
+}
+
+/// Replay `s` whole, then as 1, 2, 3 and 7 blocks run last block first on
+/// one thread (so each block finds the previous block's registers): every
+/// result must be `want`, bit for bit.
+template <typename Stage>
+void expect_block_split_invisible(const sim::Schedule& s,
+                                  const std::vector<u64>& want, Stage&& stage,
+                                  const std::string& what) {
+  ASSERT_EQ(want.size(), s.sets) << what;
+  sim::TreeScratch scratch(sim::mac_reduce_key(1, fp::kAdderStages,
+                                               fp::kMultiplierStages));
+  std::vector<double> whole(s.sets);
+  sim::replay(s, scratch, whole, stage);
+  for (std::size_t i = 0; i < s.sets; ++i) {
+    ASSERT_EQ(fp::to_bits(whole[i]), want[i]) << what << " whole, set " << i;
+  }
+  for (const std::size_t blocks : {1u, 2u, 3u, 7u}) {
+    std::vector<u64> in(s.inputs), reg(s.registers);
+    std::vector<double> got(s.sets, std::nan(""));
+    std::size_t nonempty = 0;
+    for (std::size_t b = blocks; b-- > 0;) {
+      const std::size_t s0 = sim::block_first_set(s, b, blocks);
+      const std::size_t s1 = sim::block_first_set(s, b + 1, blocks);
+      ASSERT_LE(s0, s1);
+      nonempty += s0 < s1;
+      stage(s0, s1, in.data() + s.input_first[s0]);
+      sim::replay_sets(s, in.data() + s.input_first[s0], s0, s1, got.data() + s0,
+                       reg.data());
+    }
+    if (blocks > 1) {
+      EXPECT_GE(nonempty, 2u) << what << ", " << blocks << " blocks";
+    }
+    for (std::size_t i = 0; i < s.sets; ++i) {
+      ASSERT_EQ(fp::to_bits(got[i]), want[i])
+          << what << ", " << blocks << " blocks, set " << i;
+    }
+  }
+}
+
+/// Publish a hand-built op log for sets of the given lengths (k = 1)
+/// through a fresh recorder into `slot`.
+void publish_log(sim::ScheduleSlot& slot, std::vector<u32> ops,
+                 const std::vector<std::size_t>& lens) {
+  sim::TreeScratch scratch(sim::mac_reduce_key(1, fp::kAdderStages,
+                                               fp::kMultiplierStages));
+  sim::ScheduleRecorder rec(&slot, scratch);
+  ASSERT_NE(rec.log(), nullptr);
+  *rec.log() = std::move(ops);
+  rec.schedule()->set_shape(lens.size(), [&](std::size_t i) { return lens[i]; }, 1);
+  rec.publish();
+}
+
 }  // namespace
 
 TEST(ValueOpLog, ReplayReproducesTheCircuitBitForBit) {
@@ -590,33 +671,215 @@ TEST(ValueOpLog, ReplayReproducesTheCircuitBitForBit) {
   s.set_shape(sets.size(), [&](std::size_t i) { return sets[i].size(); }, 1);
   rec.publish();
   ASSERT_NE(slot.get(), nullptr);
-  scratch.abits.clear();
-  for (const auto& set : sets) scratch.abits.insert(scratch.abits.end(), set.begin(), set.end());
   std::vector<double> got(sets.size());
-  sim::replay(*slot.get(), scratch, scratch.abits.size(), got);
+  sim::replay(*slot.get(), scratch, got, raw_stage(sets));
   for (std::size_t i = 0; i < sets.size(); ++i) {
     EXPECT_EQ(fp::to_bits(got[i]), want[i]) << "set " << i;
   }
 }
 
+TEST(ValueOpLog, PublishedLogIsSetMajor) {
+  // Set i's ops are ops[op_first[i], op_first[i+1]), each ending in the one
+  // Emit that names its own set; the offsets are counted in bytes().
+  Rng rng(2821);
+  std::vector<std::vector<u64>> sets;
+  for (std::size_t len : {1, 30, 2, 14, 90, 1, 13}) {
+    std::vector<u64> s(len);
+    for (auto& v : s) v = fp::to_bits(rng.uniform(-1.0, 1.0));
+    sets.push_back(std::move(s));
+  }
+  sim::ScheduleSlot slot;
+  record(slot, sets);
+  const sim::Schedule& s = *slot.get();
+  namespace vo = reduce::value_op;
+  ASSERT_EQ(s.op_first.size(), sets.size() + 1);
+  ASSERT_EQ(s.input_first.size(), sets.size() + 1);
+  EXPECT_EQ(s.op_first.back(), s.ops.size());
+  EXPECT_EQ(s.input_first.back(), s.inputs);
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    EXPECT_EQ(s.input_first[i + 1] - s.input_first[i], sets[i].size());
+    std::size_t consumed = 0;
+    for (std::size_t o = s.op_first[i]; o < s.op_first[i + 1]; ++o) {
+      const vo::Kind kind = vo::kind(s.ops[o]);
+      consumed += kind == vo::Direct || kind == vo::Fold;
+      EXPECT_EQ(kind == vo::Emit, o + 1 == s.op_first[i + 1]) << "set " << i;
+    }
+    EXPECT_EQ(consumed, sets[i].size()) << "set " << i;
+    EXPECT_EQ(vo::second(s.ops[s.op_first[i + 1] - 1]), vo::kEmitBias);
+  }
+  EXPECT_GE(s.bytes(), sizeof(sim::Schedule) + s.ops.size() * sizeof(u32) +
+                           2 * (sets.size() + 1) * sizeof(std::size_t));
+}
+
+TEST(ValueOpLog, BlockSplitIsInvisible) {
+  // Raw circuit sets: lengths 1, below alpha (14), at it and far above.
+  Rng rng(2822);
+  std::vector<std::vector<u64>> sets;
+  for (std::size_t len : {1, 3, 14, 15, 40, 2, 1, 90, 7, 14, 28, 1, 5, 400, 13}) {
+    std::vector<u64> s(len);
+    for (auto& v : s) v = fp::to_bits(rng.uniform(-1.0, 1.0));
+    sets.push_back(std::move(s));
+  }
+  sim::ScheduleSlot raw;
+  const std::vector<u64> want = record(raw, sets);
+  expect_block_split_invisible(*raw.get(), want, raw_stage(sets), "circuit sets");
+
+  // A dot batch of mixed lengths: the recording run's results are the
+  // circuit's own outputs.
+  std::vector<std::vector<double>> us, vs;
+  for (std::size_t len : {1, 2, 3, 27, 28, 29, 300, 5, 64, 1, 700, 56}) {
+    us.push_back(rng.vector(len));
+    vs.push_back(rng.vector(len));
+  }
+  sim::ScheduleSlot dslot;
+  blas1::DotConfig dcfg;
+  dcfg.schedule = &dslot;
+  const auto dot = blas1::DotEngine(dcfg).run(us, vs);
+  std::vector<u64> dwant;
+  for (const double d : dot.results) dwant.push_back(fp::to_bits(d));
+  const fp::Backend& be = fp::active_backend();
+  expect_block_split_invisible(
+      *dslot.get(), dwant,
+      [&](std::size_t i0, std::size_t i1, u64* dst) {
+        for (std::size_t i = i0; i < i1; ++i) {
+          be.mac_groups(us[i].data(), vs[i].data(), dst, us[i].size(), dcfg.k);
+          dst += (us[i].size() + dcfg.k - 1) / dcfg.k;
+        }
+      },
+      "dot batch");
+
+  // GEMV rows.
+  const std::size_t rows = 37, cols = 53;
+  const auto a = rng.matrix(rows, cols);
+  const auto x = rng.vector(cols);
+  sim::ScheduleSlot gslot;
+  blas2::MxvTreeConfig gcfg;
+  gcfg.schedule = &gslot;
+  const auto gemv = blas2::MxvTreeEngine(gcfg).run(a, rows, cols, x);
+  std::vector<u64> gwant;
+  for (const double y : gemv.y) gwant.push_back(fp::to_bits(y));
+  const std::size_t groups = (cols + gcfg.k - 1) / gcfg.k;
+  expect_block_split_invisible(
+      *gslot.get(), gwant,
+      [&](std::size_t r0, std::size_t r1, u64* dst) {
+        for (std::size_t r = r0; r < r1; ++r, dst += groups) {
+          be.mac_groups(a.data() + r * cols, x.data(), dst, cols, gcfg.k);
+        }
+      },
+      "gemv rows");
+}
+
+TEST(ValueOpLog, NonFiniteBlocksMatchSimulationUnderBothBackends) {
+  // Partial sums that overflow to +inf and -inf in different slots and then
+  // meet (inf - inf), NaN payloads of either sign meeting in folds and
+  // drains, and a lone sNaN that no add ever touches. Under the native
+  // backend the inline host adds see non-finite values here, so these
+  // blocks take the fallback through the backend's add.
+  constexpr u64 kSNaN = 0x7FF0'0000'0000'0001ull;
+  constexpr u64 kQNaNNeg = 0xFFF8'0000'0000'BEEFull;
+  constexpr u64 kQNaN = 0x7FF8'0000'0000'CAFEull;
+  const u64 big = fp::to_bits(1.7e308), one = fp::to_bits(1.0);
+  std::vector<std::vector<u64>> sets;
+  std::vector<u64> overflow(3 * fp::kAdderStages, one);
+  for (std::size_t j = 0; j < overflow.size(); j += fp::kAdderStages) {
+    overflow[j] = big;                        // slot 0 -> +inf
+    overflow[j + 1] = big | fp::kSignMask;    // slot 1 -> -inf
+  }
+  sets.push_back(overflow);
+  std::vector<u64> nans(40, one);
+  nans[3] = kSNaN;
+  nans[17] = kQNaNNeg;
+  nans[20] = kQNaN;
+  nans[33] = kSNaN | fp::kSignMask;
+  sets.push_back(nans);
+  sets.push_back({kSNaN});
+  sets.push_back({kQNaN, kQNaNNeg});
+  sets.push_back(std::vector<u64>(20, one));  // finite between them
+  sets.push_back({big, big, fp::kNegInf, one, one});
+
+  std::vector<u64> per_backend[2];
+  for (const auto kind : {fp::BackendKind::Soft, fp::BackendKind::Native}) {
+    fp::ScopedBackend scoped(kind);
+    sim::ScheduleSlot slot;
+    const std::vector<u64> want = record(slot, sets);
+    EXPECT_TRUE(fp::is_nan(want[0])) << "the infinities meet";
+    EXPECT_EQ(want[2], kSNaN) << "a lone input is never added";
+    expect_block_split_invisible(*slot.get(), want, raw_stage(sets),
+                                 std::string(fp::backend_name(kind)));
+    per_backend[kind == fp::BackendKind::Native] = want;
+  }
+  EXPECT_EQ(per_backend[0], per_backend[1]);
+}
+
 TEST(ValueOpLog, ReplayRejectsAStreamItWasNotRecordedFor) {
+  // Replay checks only the op's set count; the recorder rejects a bad log
+  // once, when it publishes.
+  namespace vo = reduce::value_op;
+  const std::vector<u32> good = {vo::encode(vo::Direct, 0), vo::encode(vo::Direct, 1),
+                                 vo::encode(vo::Drain, 0, 1),
+                                 vo::encode(vo::Emit, 0, vo::kEmitBias)};
+  sim::ScheduleSlot slot;
+  publish_log(slot, good, {2});
+  ASSERT_NE(slot.get(), nullptr);
   sim::TreeScratch scratch(sim::mac_reduce_key(1, fp::kAdderStages,
                                                fp::kMultiplierStages));
-  sim::Schedule s;
-  s.registers = 2 * fp::kAdderStages * fp::kAdderStages;
-  s.set_shape(1, [](std::size_t) { return std::size_t{2}; }, 1);
-  namespace vo = reduce::value_op;
-  s.ops = {vo::encode(vo::Direct, 0), vo::encode(vo::Direct, 1),
-           vo::encode(vo::Drain, 0, 1), vo::encode(vo::Emit, 0, vo::kEmitBias)};
-  scratch.abits = {fp::to_bits(1.0), fp::to_bits(2.0)};
+  const std::vector<std::vector<u64>> in = {{fp::to_bits(1.0), fp::to_bits(2.0)}};
   std::vector<double> out(1);
-  sim::replay(s, scratch, 2, out);
+  sim::replay(*slot.get(), scratch, out, raw_stage(in));
   EXPECT_EQ(out[0], 3.0);
-  // Fewer staged inputs than recorded, or a set emitted twice, throw.
-  EXPECT_THROW(sim::replay(s, scratch, 1, out), SimError);
-  s.ops.push_back(vo::encode(vo::Emit, 0, vo::kEmitBias - 1));
-  EXPECT_THROW(sim::replay(s, scratch, 2, out), SimError);
-  s.ops.pop_back();
-  s.ops.pop_back();
-  EXPECT_THROW(sim::replay(s, scratch, 2, out), SimError);  // set never emitted
+  // An op with another number of sets than the recorded one.
+  std::vector<double> two(2);
+  EXPECT_THROW(sim::replay(*slot.get(), scratch, two, raw_stage(in)), SimError);
+
+  const auto rejects = [](std::vector<u32> ops, std::vector<std::size_t> lens) {
+    sim::ScheduleSlot fresh;
+    EXPECT_THROW(publish_log(fresh, std::move(ops), lens), SimError);
+    EXPECT_EQ(fresh.get(), nullptr);
+    EXPECT_TRUE(fresh.claim()) << "a rejected log leaves the slot claimable";
+  };
+  // Fewer inputs consumed than the set shape stages.
+  rejects(good, {3});
+  // A set emitted twice.
+  std::vector<u32> twice = good;
+  twice.push_back(vo::encode(vo::Emit, 0, vo::kEmitBias - 1));
+  rejects(twice, {2});
+  // A set never emitted.
+  rejects({good.begin(), good.end() - 1}, {2});
+}
+
+TEST(ValueOpLog, PublishRejectsOpsThatCrossSets) {
+  namespace vo = reduce::value_op;
+  const auto rejects = [](std::vector<u32> ops, std::vector<std::size_t> lens,
+                          const char* what) {
+    sim::ScheduleSlot slot;
+    EXPECT_THROW(publish_log(slot, std::move(ops), lens), SimError) << what;
+    EXPECT_EQ(slot.get(), nullptr) << what;
+  };
+  // A Drain that pairs set 0's register with set 1's.
+  rejects({vo::encode(vo::Direct, 0), vo::encode(vo::Direct, 1),
+           vo::encode(vo::Drain, 0, 1), vo::encode(vo::Emit, 0, vo::kEmitBias),
+           vo::encode(vo::Emit, 1, vo::kEmitBias)},
+          {1, 1}, "drain across sets");
+  // Set 0 has no Emit; set 1 emits.
+  rejects({vo::encode(vo::Direct, 0), vo::encode(vo::Direct, 1),
+           vo::encode(vo::Emit, 1, vo::kEmitBias + 1)},
+          {1, 1}, "set without an emit");
+  // A Fold into a register set 0 still holds.
+  rejects({vo::encode(vo::Direct, 0), vo::encode(vo::Fold, 0),
+           vo::encode(vo::Emit, 0, vo::kEmitBias),
+           vo::encode(vo::Emit, 0, vo::kEmitBias)},
+          {1, 1}, "fold across sets");
+  // An Emit of set 1 reading set 0's register.
+  rejects({vo::encode(vo::Direct, 0), vo::encode(vo::Direct, 1),
+           vo::encode(vo::Emit, 1, vo::kEmitBias),
+           vo::encode(vo::Emit, 0, vo::kEmitBias)},
+          {1, 1}, "emit of another set's register");
+  // Ops of a set after its Emit.
+  rejects({vo::encode(vo::Direct, 0), vo::encode(vo::Emit, 0, vo::kEmitBias),
+           vo::encode(vo::Fold, 0)},
+          {2}, "op after emit");
+  // A register outside both buffers.
+  rejects({vo::encode(vo::Direct, 2 * fp::kAdderStages * fp::kAdderStages),
+           vo::encode(vo::Emit, 0, vo::kEmitBias)},
+          {1}, "register out of range");
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "blas1/dot_engine.hpp"
@@ -896,6 +897,65 @@ TEST(Replay, PlanCacheExportsScheduleGauges) {
   ASSERT_NE(bytes, nullptr);
   EXPECT_EQ(n->value, 1.0);
   EXPECT_GT(bytes->value, 0.0);
+
+  // A 512x512 k = 4 tree GEMV: 72,704 ops (4 bytes each) and two offset
+  // tables of 513 entries (8 bytes each) over the object, its one set run
+  // and its telemetry fragment.
+  telemetry::Session big_tel;
+  ContextConfig big_cfg;
+  big_cfg.telemetry = &big_tel;
+  Runtime big(big_cfg);
+  const std::size_t dim = 512;
+  big.run(OpDesc::gemv(rng.matrix(dim, dim), dim, dim, rng.vector(dim)));
+  const sim::Schedule& s =
+      *slot_of(big, OpDesc::gemv(rng.matrix(dim, dim), dim, dim, rng.vector(dim))).get();
+  EXPECT_EQ(s.ops.size(), 72704u);
+  EXPECT_EQ(s.op_first.size(), dim + 1);
+  EXPECT_EQ(s.input_first.size(), dim + 1);
+  EXPECT_EQ(s.bytes(), sizeof(sim::Schedule) + 72704 * sizeof(u32) +
+                           2 * (dim + 1) * sizeof(std::size_t) +
+                           sizeof(s.set_runs[0]) +
+                           s.fragment.size() * sizeof(telemetry::Metric));
+  EXPECT_EQ(big_tel.metrics().find("host.plan.schedule_bytes")->value,
+            static_cast<double>(s.bytes()));
+  EXPECT_EQ(s.bytes(), 301488u);
+}
+
+TEST(Replay, ConcurrentSubmitsSplitWarmGemvReplaysOnThePool) {
+  // Four threads submit a warmed 512x512 GEMV at once: each op runs in a
+  // pool task and replays in blocks on nested parallel_for. Every result
+  // must be run()'s, bit for bit.
+  const std::size_t n = 512, threads = 4;
+  Rng rng(2806);
+  const auto a = rng.matrix(n, n);
+  std::vector<std::vector<double>> xs;
+  for (std::size_t t = 0; t < threads; ++t) xs.push_back(rng.vector(n));
+  Runtime rt{ContextConfig{}};
+  rt.run(OpDesc::gemv(a, n, n, xs[0]));  // simulates and records
+  const sim::ScheduleSlot& slot = slot_of(rt, OpDesc::gemv(a, n, n, xs[0]));
+  ASSERT_NE(slot.get(), nullptr);
+  EXPECT_GE(slot.get()->ops.size() / sim::kMinBlockOps, 4u);
+  std::vector<Outcome> want;
+  for (const auto& x : xs) want.push_back(rt.run(OpDesc::gemv(a, n, n, x)));
+  const u64 warm = slot.replays();
+
+  std::vector<Outcome> got(threads);
+  std::vector<std::thread> submitters;
+  std::atomic<std::size_t> ready{0};
+  for (std::size_t t = 0; t < threads; ++t) {
+    submitters.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < threads) std::this_thread::yield();
+      got[t] = rt.submit(OpDesc::gemv(a, n, n, xs[t])).get();
+    });
+  }
+  for (auto& th : submitters) th.join();
+  EXPECT_EQ(slot.replays(), warm + threads);
+  for (std::size_t t = 0; t < threads; ++t) {
+    expect_bitwise(want[t].values, got[t].values);
+    EXPECT_EQ(got[t].report.cycles, want[t].report.cycles);
+    EXPECT_EQ(got[t].report.stall_cycles, want[t].report.stall_cycles);
+  }
 }
 
 // ---- op lifecycle ----------------------------------------------------------
