@@ -174,6 +174,42 @@ TEST(GraphDesc, SignatureKeysOperandSharing) {
   EXPECT_EQ(g2.signature(), g3.signature());
 }
 
+TEST(GraphDesc, SignatureTextOfTheCgGraphsIsPinned) {
+  // The plan cache keys graphs by this text: a rewrite of signature() must
+  // keep it byte for byte. The two graphs cg_dense runs every iteration.
+  const CgStepCase step(512, Placement::Dram);
+  EXPECT_EQ(step.g.signature(), "g1;gemv:dram:tree:512x512:0:0:k:0,-,1,-,-,-;"
+            "dot:dram:tree:0x512:0:0:k:1,-,-,-,-,-;|0>1:b;");
+  Rng rng(13);
+  const auto r = rng.vector(512), z = rng.vector(512);
+  GraphDesc dots;
+  dots.nodes.push_back({"d0", OpDesc::dot(r, z, Placement::Dram), true});
+  dots.nodes.push_back({"d1", OpDesc::dot(r, r, Placement::Dram), true});
+  EXPECT_EQ(dots.signature(), "g1;dot:dram:tree:0x512:0:0:k:0,1,-,-,-,-;"
+            "dot:dram:tree:0x512:0:0:k:0,0,-,-,-,-;|");
+  // Sram placement, a transient node and an edge into slot X.
+  GraphDesc chain;
+  chain.nodes.push_back({"y", OpDesc::gemv(step.a, 512, 512, r, Placement::Sram), false});
+  OpDesc next = OpDesc::gemv(step.a, 512, 512, r, Placement::Sram);
+  next.x = nullptr;
+  chain.nodes.push_back({"z", next, true});
+  chain.edges.push_back({0, 1, OperandSlot::X});
+  EXPECT_EQ(chain.signature(),
+            "g1;gemv:sram:tree:512x512:0:0:t:0,-,1,-,-,-;"
+            "gemv:sram:tree:512x512:0:0:k:0,-,-,-,-,-;|0>1:x;");
+  // Two-digit ordinals.
+  std::vector<std::vector<double>> vs;
+  for (int i = 0; i < 12; ++i) vs.push_back(rng.vector(3));
+  GraphDesc wide;
+  for (int i = 0; i < 12; i += 2) {
+    wide.nodes.push_back({"d", OpDesc::dot(vs[i], vs[i + 1], Placement::Dram), true});
+  }
+  EXPECT_EQ(wide.signature(),
+            "g1;dot:dram:tree:0x3:0:0:k:0,1,-,-,-,-;dot:dram:tree:0x3:0:0:k:2,3,-,-,-,-;"
+            "dot:dram:tree:0x3:0:0:k:4,5,-,-,-,-;dot:dram:tree:0x3:0:0:k:6,7,-,-,-,-;"
+            "dot:dram:tree:0x3:0:0:k:8,9,-,-,-,-;dot:dram:tree:0x3:0:0:k:10,11,-,-,-,-;|");
+}
+
 // ---- fusion: CG step chain -------------------------------------------------
 
 TEST(GraphFusion, CgStepChainFusesAndMatchesPerOpBits) {
