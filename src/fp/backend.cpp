@@ -196,13 +196,33 @@ inline double host_group(const double* a, const double* b) {
   return p[0];
 }
 
+/// Groups host_mac_groups computes per iteration.
+constexpr std::size_t kMacInterleave = 4;
+
 template <std::size_t K>
 void host_mac_groups(const double* a, const double* b, u64* out,
                      std::size_t n) {
+  // kMacInterleave independent groups per iteration, lane j of group q in
+  // p[j][q]: the products and each fold level run across the groups side by
+  // side, while every group keeps its own pairwise order.
+  constexpr std::size_t G = kMacInterleave;
   const std::size_t full = n / K;
-  for (std::size_t g = 0; g < full; ++g) {
-    out[g] = to_bits(host_group<K>(a + g * K, b + g * K));
+  std::size_t g = 0;
+  for (; g + G <= full; g += G) {
+    double p[K][G];
+    for (std::size_t q = 0; q < G; ++q) {
+      for (std::size_t j = 0; j < K; ++j) {
+        p[j][q] = a[(g + q) * K + j] * b[(g + q) * K + j];
+      }
+    }
+    for (std::size_t w = K; w > 1; w /= 2) {
+      for (std::size_t j = 0; j < w / 2; ++j) {
+        for (std::size_t q = 0; q < G; ++q) p[j][q] = p[2 * j][q] + p[2 * j + 1][q];
+      }
+    }
+    for (std::size_t q = 0; q < G; ++q) out[g + q] = to_bits(p[0][q]);
   }
+  for (; g < full; ++g) out[g] = to_bits(host_group<K>(a + g * K, b + g * K));
   if (const std::size_t tail = n % K) {
     // Zero operands in the idle lanes give the +0 products the feeders pad.
     double ta[K] = {}, tb[K] = {};

@@ -74,8 +74,11 @@ struct Backend {
   /// ceil(n / k)) is the k-wide pairwise tree fold of a[i] * b[i] over group
   /// g, tail lanes padded with +0 products; k == 1 passes the products
   /// through; k is 1 or a power of two <= kMaxMacLanes. Bit-identical to
-  /// mul_n + fold_n per group: schedule replay (sim/schedule.hpp) stages a
-  /// whole op's reduction-circuit input with it.
+  /// mul_n + fold_n per group: schedule replay (sim/schedule.hpp) stages
+  /// each chunk of sets' reduction-circuit input with it, one call per set.
+  /// The native kernel works on four groups at a time, each folded in its
+  /// own pairwise order, and redoes any non-finite group on the scalar
+  /// native_add / native_mul chain.
   MacGroups mac_groups = nullptr;
   BackendKind kind = BackendKind::Soft;
 };

@@ -1,8 +1,8 @@
 #include "host/graph.hpp"
 
+#include <algorithm>
 #include <array>
-#include <sstream>
-#include <unordered_map>
+#include <charconv>
 
 #include "common/util.hpp"
 
@@ -169,29 +169,60 @@ std::string GraphDesc::signature() const {
   // External operands that alias the same vector plan differently (a chain
   // stages a shared operand once), so the aliasing pattern is part of the
   // signature. Pointers are mapped to first-occurrence ordinals: the
-  // signature depends on the sharing structure, never on addresses.
-  std::unordered_map<const void*, int> ord;
-  auto id = [&](const void* p) -> std::string {
-    if (!p) return "-";
-    auto [it, inserted] = ord.emplace(p, static_cast<int>(ord.size()));
-    (void)inserted;
-    return std::to_string(it->second);
+  // signature depends on the sharing structure, never on addresses. A graph
+  // names a handful of operands, so a scan of those seen finds an ordinal.
+  std::vector<const void*> seen;
+  seen.reserve(6 * nodes.size());
+  std::string out;
+  out.reserve(4 + 64 * nodes.size() + 12 * edges.size());
+  const auto num = [&out](std::size_t v) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  };
+  const auto id = [&](const void* p, char sep) {
+    if (p) {
+      const auto it = std::find(seen.begin(), seen.end(), p);
+      num(static_cast<std::size_t>(it - seen.begin()));
+      if (it == seen.end()) seen.push_back(p);
+    } else {
+      out += '-';
+    }
+    out += sep;
   };
 
-  std::ostringstream os;
-  os << "g1;";
+  out += "g1;";
   for (const auto& node : nodes) {
     const OpDesc& d = node.desc;
-    os << op_kind_name(d.kind) << ':' << placement_name(d.placement) << ':'
-       << gemv_arch_name(d.arch) << ':' << d.rows << 'x' << d.cols << ':'
-       << d.n << ':' << d.batch << ':' << (node.keep ? 'k' : 't') << ':'
-       << id(d.a) << ',' << id(d.b) << ',' << id(d.x) << ',' << id(d.sparse)
-       << ',' << id(d.us) << ',' << id(d.vs) << ';';
+    for (const char* name :
+         {op_kind_name(d.kind), placement_name(d.placement), gemv_arch_name(d.arch)}) {
+      out += name;
+      out += ':';
+    }
+    num(d.rows);
+    out += 'x';
+    num(d.cols);
+    out += ':';
+    num(d.n);
+    out += ':';
+    num(d.batch);
+    out += node.keep ? ":k:" : ":t:";
+    id(d.a, ',');
+    id(d.b, ',');
+    id(d.x, ',');
+    id(d.sparse, ',');
+    id(d.us, ',');
+    id(d.vs, ';');
   }
-  os << '|';
-  for (const auto& e : edges)
-    os << e.from << '>' << e.to << ':' << operand_slot_name(e.slot) << ';';
-  return os.str();
+  out += '|';
+  for (const auto& e : edges) {
+    num(e.from);
+    out += '>';
+    num(e.to);
+    out += ':';
+    out += operand_slot_name(e.slot);
+    out += ';';
+  }
+  return out;
 }
 
 }  // namespace xd::host

@@ -9,34 +9,42 @@
 // log on (ReductionCircuit::record_ops) and publishes a Schedule into the
 // plan's ScheduleSlot.
 //
-// The circuit never adds values of two sets together, so publishing
-// reorders the log set-major: set i's ops, in their issue order, then set
-// i+1's. Every register read still sees the last write of its own set, so
-// the reordered log runs to the same bits. Publishing checks this once per
-// schedule (each set's ops consume exactly that set's inputs, no Drain or
-// Emit reaches another set's register, each set ends in its one Emit), and
-// the published schedule is immutable.
+// The circuit never adds values of two sets together, and which adds it
+// makes for a set depends only on that set's length and arrival timing, so
+// the sets of one plan run very few distinct add sequences: a 512x512 k=4
+// tree GEMV's 512 rows run 2. Publishing checks the log once per schedule
+// (each set's ops consume exactly that set's inputs, no Drain or Emit
+// reaches another set's register, each set ends in its one Emit), renames
+// each set's registers by first use within the set, and interns the
+// renamed op sequence as a Program. The published schedule keeps the
+// programs and which program each run of sets runs, and is immutable.
+// Every register read still sees the last write of its own set, so running
+// each set's program on its own registers gives the circuit's exact bits.
 //
 // Later runs replay it in blocks of whole sets. The op is split into
-// min(pool size, ops / kMinBlockOps) contiguous blocks, and each block, on
-// parallel_for, runs two phases:
+// min(pool size, ops / kMinBlockOps) contiguous blocks on parallel_for, and
+// each block walks its sets in chunks of kLanes consecutive sets that share
+// a program (a shorter tail runs one set at a time):
 //
-//   1. the engine's stage callable builds the block's slice of the circuit's
-//      input stream (the adder-tree outputs) with fp::Backend::mac_groups,
-//      straight from the operands;
-//   2. replay_sets runs the block's ops on a register file of its own, with
-//      plain host adds under the native backend (a block that produces a
-//      non-finite value is redone through the backend's add) and with
-//      fp::add under softfloat, operands in their recorded order.
+//   1. the engine's stage callable builds the chunk's slice of the
+//      circuit's input stream (the adder-tree outputs) with
+//      fp::Backend::mac_groups, straight from the operands, into a small
+//      per-block buffer;
+//   2. the chunk's sets run their program together, lane by lane, on a
+//      register file of the block's own, operands in their recorded order:
+//      plain host adds under the native backend (a chunk that emits a
+//      non-finite value is redone through the backend's add) and fp::add
+//      under softfloat.
 //
-// Each set computes identically in any block, so the split never changes a
-// bit, and replay is bit-identical to simulation under either FP backend.
-// The simulator stays the oracle: the fuzz harness checks replay against
-// fresh simulation on fresh operands. A run with the event trace on always
-// simulates (replay emits no events), as does any engine built without a
-// slot.
+// Each set computes identically in any block and any lane, so neither the
+// split nor the lanes change a bit, and replay is bit-identical to
+// simulation under either FP backend. The simulator stays the oracle: the
+// fuzz harness checks replay against fresh simulation on fresh operands. A
+// run with the event trace on always simulates (replay emits no events), as
+// does any engine built without a slot.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <memory>
@@ -50,22 +58,42 @@
 
 namespace xd::sim {
 
+/// Sets one replay pass runs together when they share a program.
+inline constexpr std::size_t kLanes = 8;
+
+/// One set's reduction as the circuit ran it, registers renamed by first
+/// use within the set: reduce::value_op codes code[first, first + ops) of
+/// the owning Schedule, each Direct or Fold consuming the set's next input,
+/// the last op its one Emit (whose set field is unused).
+struct Program {
+  u32 first = 0;
+  u32 ops = 0;
+  u32 inputs = 0;     ///< Directs and Folds: the set's adder-tree outputs
+  u32 registers = 0;  ///< renamed registers 0 .. registers - 1
+};
+
 /// What one simulated run of a plan produced that its operand values cannot
 /// change.
 struct Schedule {
-  /// Elements per set, run-length coded as (length, sets): the op log is
-  /// valid only for this sequence. Dot batches of one plan may differ here.
+  /// Elements per set, run-length coded as (length, sets): the programs
+  /// are valid only for this sequence. Dot batches of one plan may differ
+  /// here.
   std::vector<std::pair<std::size_t, std::size_t>> set_runs;
-  /// reduce::value_op codes, set-major once published: set i's ops are
-  /// ops[op_first[i], op_first[i+1]) in issue order, the last its Emit.
-  /// While recording, the circuit's interleaved log.
-  std::vector<u32> ops;
-  std::vector<std::size_t> op_first;  ///< sets + 1 offsets into ops
-  /// sets + 1 offsets: set i consumes inputs [input_first[i], input_first[i+1]).
-  std::vector<std::size_t> input_first;
-  std::size_t inputs = 0;  ///< adder-tree outputs the ops consume
+  /// The distinct programs once published, their ops in `code`.
+  std::vector<Program> programs;
+  std::vector<u32> code;
+  /// Which program each set runs, run-length coded as (program, sets) in
+  /// set order; a set's inputs follow those of the sets before it.
+  std::vector<std::pair<u32, std::size_t>> program_runs;
+  std::size_t inputs = 0;  ///< adder-tree outputs the sets consume
   std::size_t sets = 0;
+  std::size_t ops = 0;  ///< ops over all sets: the replay's work
+  unsigned k = 0;       ///< adder-tree lanes: a set of n elements has ceil(n / k) inputs
   std::size_t registers = 0;  ///< both circuit buffers, 2 alpha^2 slots
+  /// A replay block's buffers: the widest chunk's staged inputs and the
+  /// most registers a program renames to.
+  std::size_t chunk_inputs = 0;
+  std::size_t program_registers = 0;
   u64 cycles = 0;
   u64 stall_cycles = 0;
   u64 streamed_words = 0;  ///< operand words the feeder streamed
@@ -88,16 +116,13 @@ struct Schedule {
 
   /// Record the set lengths and the input counts at k lanes.
   template <typename LenOf>
-  void set_shape(std::size_t n, LenOf&& len_of, unsigned k) {
+  void set_shape(std::size_t n, LenOf&& len_of, unsigned lanes) {
     sets = n;
+    k = lanes;
     inputs = 0;
-    input_first.clear();
-    input_first.reserve(n + 1);
-    input_first.push_back(0);
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t len = len_of(i);
       inputs += (len + k - 1) / k;
-      input_first.push_back(inputs);
       if (!set_runs.empty() && set_runs.back().first == len) {
         ++set_runs.back().second;
       } else {
@@ -106,9 +131,9 @@ struct Schedule {
     }
   }
 
-  /// Bytes this schedule holds: the object, the op log, its two offset
-  /// tables, the set lengths and the fragment's metrics (not the map nodes'
-  /// own overhead).
+  /// Bytes this schedule holds: the object, the programs and their code,
+  /// the program runs, the set lengths and the fragment's metrics (not the
+  /// map nodes' own overhead).
   std::size_t bytes() const;
 };
 
@@ -140,7 +165,8 @@ class ScheduleSlot {
 
 /// The recording side of one simulated run on `scratch`: claims `slot` when
 /// it is empty (and the tree is within fp::kMaxMacLanes), owns the schedule
-/// being built, and abandons the claim unless publish() is reached.
+/// being built and the circuit's op log, and abandons the claim unless
+/// publish() is reached.
 class ScheduleRecorder {
  public:
   ScheduleRecorder(ScheduleSlot* slot, const TreeScratch& scratch);
@@ -150,18 +176,20 @@ class ScheduleRecorder {
 
   /// The schedule under construction; null when this run does not record.
   Schedule* schedule() { return sched_.get(); }
-  /// The op log to hand the reduction circuit (null when not recording).
-  std::vector<u32>* log() { return sched_ ? &sched_->ops : nullptr; }
-  /// Check the finished log against the set shape, reorder it set-major
-  /// and publish it into the slot. Throws SimError when an op reads a
-  /// register out of range or of another set, the ops overrun or leave
-  /// inputs, a set is emitted twice or never, or a set has ops after its
-  /// Emit.
+  /// The op log to hand the reduction circuit (null when not recording):
+  /// the circuit's ops in issue order, sets interleaved.
+  std::vector<u32>* log() { return sched_ ? &log_ : nullptr; }
+  /// Check the finished log against the set shape, intern each set's ops
+  /// as a program and publish the schedule into the slot. Throws SimError
+  /// when an op reads a register out of range or of another set, the ops
+  /// overrun or leave inputs, a set is emitted twice or never, or a set has
+  /// ops after its Emit.
   void publish();
 
  private:
   ScheduleSlot* slot_ = nullptr;
   std::unique_ptr<Schedule> sched_;
+  std::vector<u32> log_;
 };
 
 /// The published schedule a run may replay: `slot`'s, when there is one,
@@ -176,31 +204,58 @@ const Schedule* replayable(ScheduleSlot* slot, bool traced,
   return s;
 }
 
-/// Ops below which a replay block does not pay for waking a pool worker:
-/// a 512x512 k=4 tree GEMV (72,704 ops) splits 4 ways on 4 workers, a
-/// 192x192 one (~9.2k ops) replays on the calling thread.
-inline constexpr std::size_t kMinBlockOps = 8192;
+/// Ops below which a replay block does not pay for waking a pool worker.
+/// Staging and lane replay cost ~2 ns per op on one thread, and a split
+/// costs a few microseconds per block: measured on 4 vCPUs, a 256x256 k=4
+/// tree GEMV (19,968 ops) replays no faster in 2 blocks than in 1, a
+/// 384x384 one (42,240 ops) ~1.5x faster in 3. So 512x512 (72,704 ops)
+/// splits 4 ways on 4 workers, 384x384 3 ways, and 256x256 and the 192x192
+/// GEMV shards replay on the calling thread.
+inline constexpr std::size_t kMinBlockOps = 12288;
 
 /// Blocks a replay of `s` splits into: min(pool size, ops / kMinBlockOps),
 /// at least 1.
 std::size_t replay_blocks(const Schedule& s);
 
 /// First set of block b of `blocks`: the block boundaries fall on whole sets
-/// near even shares of the op log (b == blocks gives s.sets).
+/// near even shares of the ops, rounded up to whole chunks of their program
+/// run (b == blocks gives s.sets).
 std::size_t block_first_set(const Schedule& s, std::size_t b,
                             std::size_t blocks);
 
-/// The block kernel: run sets [s0, s1) of `s` over their staged inputs `in`
-/// (set s0's first input at in[0]) on the register file `reg` (s.registers
-/// words, no prior contents needed), writing set i's sum to out[i - s0].
-/// Allocates nothing.
-void replay_sets(const Schedule& s, const u64* in, std::size_t s0,
-                 std::size_t s1, double* out, u64* reg);
+/// Run `p` for `lanes` (kLanes or 1) sets whose inputs lie set-major in
+/// `in` (p.inputs each), writing their sums to out[0, lanes), on the
+/// register file `reg` (p.registers * lanes words, no prior contents
+/// needed). Allocates nothing.
+void run_chunk(const Program& p, const u32* code, std::size_t lanes,
+               const u64* in, double* out, u64* reg);
 
-/// Replay `s` into out (one sum per set), staging into scratch.abits with
-/// one register file per block in scratch.regs. stage(s0, s1, dst) writes
-/// the inputs of sets [s0, s1) from dst on; blocks call it concurrently on
-/// disjoint slices. Throws SimError unless out holds one slot per recorded
+/// The block kernel: run sets [s0, s1) of `s`, writing set i's sum to
+/// out[i - s0]. Each chunk of sets first has stage(c0, c1, in) write the
+/// inputs of sets [c0, c1) into `in` (s.chunk_inputs words), then runs on
+/// `reg` (s.program_registers * kLanes words). Allocates nothing.
+template <typename Stage>
+void replay_sets(const Schedule& s, std::size_t s0, std::size_t s1,
+                 double* out, u64* in, u64* reg, Stage&& stage) {
+  std::size_t first = 0;
+  for (const auto& [program, count] : s.program_runs) {
+    const std::size_t end = std::min(first + count, s1);
+    const Program& p = s.programs[program];
+    for (std::size_t i = std::max(first, s0); i < end;) {
+      const std::size_t lanes = end - i >= kLanes ? kLanes : 1;
+      stage(i, i + lanes, in);
+      run_chunk(p, s.code.data(), lanes, in, out + (i - s0), reg);
+      i += lanes;
+    }
+    first += count;
+    if (first >= s1) break;
+  }
+}
+
+/// Replay `s` into out (one sum per set), with one input buffer and one
+/// register file per block in scratch.abits and scratch.regs. stage(c0,
+/// c1, dst) writes the inputs of sets [c0, c1) from dst on; blocks call it
+/// concurrently. Throws SimError unless out holds one slot per recorded
 /// set. Allocates nothing once the scratch's buffers have grown, except
 /// parallel_for's shared state when the op splits.
 template <typename Stage>
@@ -210,17 +265,16 @@ void replay(const Schedule& s, TreeScratch& scratch, std::vector<double>& out,
     throw SimError("schedule replay: the op's sets are not the recorded ones");
   }
   const std::size_t blocks = replay_blocks(s);
-  scratch.abits.resize(s.inputs);
-  scratch.regs.resize(blocks * s.registers);
+  const std::size_t regs = s.program_registers * kLanes;
+  scratch.abits.resize(blocks * s.chunk_inputs);
+  scratch.regs.resize(blocks * regs);
   parallel_for(
       0, blocks,
       [&](std::size_t b) {
         const std::size_t s0 = block_first_set(s, b, blocks);
-        const std::size_t s1 = block_first_set(s, b + 1, blocks);
-        u64* in = scratch.abits.data() + s.input_first[s0];
-        stage(s0, s1, in);
-        replay_sets(s, in, s0, s1, out.data() + s0,
-                    scratch.regs.data() + b * s.registers);
+        replay_sets(s, s0, block_first_set(s, b + 1, blocks), out.data() + s0,
+                    scratch.abits.data() + b * s.chunk_inputs,
+                    scratch.regs.data() + b * regs, stage);
       },
       static_cast<unsigned>(blocks));
 }

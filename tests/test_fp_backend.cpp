@@ -197,6 +197,43 @@ TEST(MacGroups, MatchesMulNAndFoldNOnExtremeOperands) {
   }
 }
 
+TEST(MacGroups, InterleavedNativeKernelMatchesTheScalarChain) {
+  // The native kernel folds several groups per iteration, then the groups
+  // left over, then the padded tail group; each group falls back to the
+  // scalar chain on its own. Against softfloat's chain (its mac_groups) for
+  // every lane count, n never a multiple of the interleaved stride: whole
+  // Extreme-pool operands (signed zeros, infinities, subnormals, NaN
+  // payloads), uniform operands salted with them, and one special operand
+  // among finite ones.
+  Rng rng(2831);
+  const auto extreme = [&rng] {
+    return xd::testing::draw_value(rng, xd::testing::ValueMode::Extreme);
+  };
+  for (std::size_t k = 1; k <= fp::kMaxMacLanes; k *= 2) {
+    for (const std::size_t n : {k + 1, 4 * k - 1, 4 * k + 1, 6 * k + 3, 10 * k - 1,
+                                13 * k + k / 2 + 1}) {
+      ASSERT_NE(n % (4 * k), 0u);
+      for (int trial = 0; trial < 3; ++trial) {
+        std::vector<double> a(n), b(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const bool salted = trial == 0 || (trial == 1 && rng.uniform_int(0, 15) == 0);
+          a[i] = salted ? extreme() : rng.uniform(-1.0, 1.0);
+          b[i] = trial == 0 ? extreme() : rng.uniform(-1e3, 1e3);
+        }
+        if (trial == 2) a[rng.uniform_int(0, n - 1)] = extreme();
+        const std::size_t groups = (n + k - 1) / k;
+        std::vector<u64> want(groups), got(groups);
+        fp::soft_backend().mac_groups(a.data(), b.data(), want.data(), n, k);
+        fp::native_backend().mac_groups(a.data(), b.data(), got.data(), n, k);
+        for (std::size_t g = 0; g < groups; ++g) {
+          ASSERT_EQ(got[g], want[g]) << "k=" << k << " n=" << n << " trial "
+                                     << trial << " group " << g;
+        }
+      }
+    }
+  }
+}
+
 TEST(Conformance, FlushToZeroBackendIsRejected) {
   Backend bad = fp::soft_backend();
   bad.add = &ftz_add;

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -594,8 +595,8 @@ auto raw_stage(const std::vector<std::vector<u64>>& sets) {
 }
 
 /// Replay `s` whole, then as 1, 2, 3 and 7 blocks run last block first on
-/// one thread (so each block finds the previous block's registers): every
-/// result must be `want`, bit for bit.
+/// one thread (so each block finds the previous block's registers and
+/// inputs): every result must be `want`, bit for bit.
 template <typename Stage>
 void expect_block_split_invisible(const sim::Schedule& s,
                                   const std::vector<u64>& want, Stage&& stage,
@@ -609,7 +610,7 @@ void expect_block_split_invisible(const sim::Schedule& s,
     ASSERT_EQ(fp::to_bits(whole[i]), want[i]) << what << " whole, set " << i;
   }
   for (const std::size_t blocks : {1u, 2u, 3u, 7u}) {
-    std::vector<u64> in(s.inputs), reg(s.registers);
+    std::vector<u64> in(s.chunk_inputs), reg(s.program_registers * sim::kLanes);
     std::vector<double> got(s.sets, std::nan(""));
     std::size_t nonempty = 0;
     for (std::size_t b = blocks; b-- > 0;) {
@@ -617,9 +618,7 @@ void expect_block_split_invisible(const sim::Schedule& s,
       const std::size_t s1 = sim::block_first_set(s, b + 1, blocks);
       ASSERT_LE(s0, s1);
       nonempty += s0 < s1;
-      stage(s0, s1, in.data() + s.input_first[s0]);
-      sim::replay_sets(s, in.data() + s.input_first[s0], s0, s1, got.data() + s0,
-                       reg.data());
+      sim::replay_sets(s, s0, s1, got.data() + s0, in.data(), reg.data(), stage);
     }
     if (blocks > 1) {
       EXPECT_GE(nonempty, 2u) << what << ", " << blocks << " blocks";
@@ -678,9 +677,11 @@ TEST(ValueOpLog, ReplayReproducesTheCircuitBitForBit) {
   }
 }
 
-TEST(ValueOpLog, PublishedLogIsSetMajor) {
-  // Set i's ops are ops[op_first[i], op_first[i+1]), each ending in the one
-  // Emit that names its own set; the offsets are counted in bytes().
+TEST(ValueOpLog, PublishedSetsShareRenamedPrograms) {
+  // Each set runs one program: its ops with registers named 0, 1, ... in
+  // order of first use, consuming the set's inputs, the last op its one
+  // Emit. Sets with the same ops share a program; bytes() counts exactly
+  // the programs, their code and the runs.
   Rng rng(2821);
   std::vector<std::vector<u64>> sets;
   for (std::size_t len : {1, 30, 2, 14, 90, 1, 13}) {
@@ -692,23 +693,47 @@ TEST(ValueOpLog, PublishedLogIsSetMajor) {
   record(slot, sets);
   const sim::Schedule& s = *slot.get();
   namespace vo = reduce::value_op;
-  ASSERT_EQ(s.op_first.size(), sets.size() + 1);
-  ASSERT_EQ(s.input_first.size(), sets.size() + 1);
-  EXPECT_EQ(s.op_first.back(), s.ops.size());
-  EXPECT_EQ(s.input_first.back(), s.inputs);
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    EXPECT_EQ(s.input_first[i + 1] - s.input_first[i], sets[i].size());
-    std::size_t consumed = 0;
-    for (std::size_t o = s.op_first[i]; o < s.op_first[i + 1]; ++o) {
-      const vo::Kind kind = vo::kind(s.ops[o]);
-      consumed += kind == vo::Direct || kind == vo::Fold;
-      EXPECT_EQ(kind == vo::Emit, o + 1 == s.op_first[i + 1]) << "set " << i;
+  std::size_t set = 0, ops = 0;
+  for (const auto& [program, count] : s.program_runs) {
+    ASSERT_LT(program, s.programs.size());
+    const sim::Program& p = s.programs[program];
+    for (std::size_t i = set; i < set + count; ++i) {
+      EXPECT_EQ(p.inputs, sets[i].size()) << "set " << i;
     }
-    EXPECT_EQ(consumed, sets[i].size()) << "set " << i;
-    EXPECT_EQ(vo::second(s.ops[s.op_first[i + 1] - 1]), vo::kEmitBias);
+    set += count;
+    ops += count * p.ops;
   }
-  EXPECT_GE(s.bytes(), sizeof(sim::Schedule) + s.ops.size() * sizeof(u32) +
-                           2 * (sets.size() + 1) * sizeof(std::size_t));
+  EXPECT_EQ(set, sets.size());
+  EXPECT_EQ(ops, s.ops);
+  // The two single-element sets (Direct r0, Emit r0) share one program.
+  EXPECT_EQ(s.programs.size(), sets.size() - 1);
+  std::size_t code = 0;
+  for (const sim::Program& p : s.programs) {
+    EXPECT_EQ(p.first, code);
+    code += p.ops;
+    u32 named = 0;
+    std::size_t consumed = 0;
+    for (u32 o = p.first; o < p.first + p.ops; ++o) {
+      const u32 op = s.code[o];
+      const vo::Kind kind = vo::kind(op);
+      consumed += kind == vo::Direct || kind == vo::Fold;
+      EXPECT_EQ(kind == vo::Emit, o + 1 == p.first + p.ops);
+      for (const u32 r : {vo::first(op), kind == vo::Drain ? vo::second(op) : 0u}) {
+        EXPECT_LE(r, named) << "registers are named in order of first use";
+        named = std::max(named, r + 1);
+      }
+    }
+    EXPECT_EQ(consumed, p.inputs);
+    EXPECT_EQ(named, p.registers);
+    EXPECT_LE(p.registers, s.program_registers);
+  }
+  EXPECT_EQ(code, s.code.size());
+  EXPECT_EQ(s.bytes(), sizeof(sim::Schedule) +
+                           s.programs.size() * sizeof(sim::Program) +
+                           s.code.size() * sizeof(u32) +
+                           s.program_runs.size() * sizeof(s.program_runs[0]) +
+                           s.set_runs.size() * sizeof(s.set_runs[0]) +
+                           s.fragment.size() * sizeof(telemetry::Metric));
 }
 
 TEST(ValueOpLog, BlockSplitIsInvisible) {
@@ -809,6 +834,131 @@ TEST(ValueOpLog, NonFiniteBlocksMatchSimulationUnderBothBackends) {
     per_backend[kind == fp::BackendKind::Native] = want;
   }
   EXPECT_EQ(per_backend[0], per_backend[1]);
+}
+
+namespace {
+
+/// Record a rows x cols tree GEMV on `record_a`, then run `a` (same shape)
+/// twice: replayed from the schedule and freshly simulated. Returns the
+/// replayed run's schedule, which `slot` holds.
+const sim::Schedule& replay_and_simulate(sim::ScheduleSlot& slot,
+                                         const std::vector<double>& record_a,
+                                         const std::vector<double>& a,
+                                         std::size_t rows, std::size_t cols,
+                                         const std::vector<double>& x,
+                                         std::vector<double>& replayed,
+                                         std::vector<double>& simulated) {
+  blas2::MxvTreeConfig cfg;
+  cfg.schedule = &slot;
+  blas2::MxvTreeEngine(cfg).run(record_a, rows, cols, x);
+  replayed = blas2::MxvTreeEngine(cfg).run(a, rows, cols, x).y;
+  EXPECT_EQ(slot.replays(), 1u);
+  simulated = blas2::MxvTreeEngine(blas2::MxvTreeConfig{}).run(a, rows, cols, x).y;
+  return *slot.get();
+}
+
+/// The longest run of sets sharing a program.
+std::size_t longest_program_run(const sim::Schedule& s) {
+  std::size_t longest = 0;
+  for (const auto& run : s.program_runs) longest = std::max(longest, run.second);
+  return longest;
+}
+
+void expect_same_bits(const std::vector<double>& want,
+                      const std::vector<double>& got, const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(fp::to_bits(got[i]), fp::to_bits(want[i])) << what << ", set " << i;
+  }
+}
+
+}  // namespace
+
+TEST(ValueOpLog, LanesMatchSimulationForEverySetCount) {
+  // 1, 7 and 8 rows run one set at a time (no run of 8 shares a program);
+  // 9 and 29 rows run full chunks of kLanes sets plus a width-1 tail.
+  Rng rng(2823);
+  const std::size_t cols = 53;
+  for (const auto kind : {fp::BackendKind::Soft, fp::BackendKind::Native}) {
+    fp::ScopedBackend scoped(kind);
+    for (const std::size_t rows : {1u, 7u, 8u, 9u, 29u}) {
+      const std::string what = cat(fp::backend_name(kind), " ", rows, " rows");
+      const auto a = rng.matrix(rows, cols);
+      const auto x = rng.vector(cols);
+      sim::ScheduleSlot slot;
+      std::vector<double> replayed, simulated;
+      const sim::Schedule& s = replay_and_simulate(
+          slot, rng.matrix(rows, cols), a, rows, cols, x, replayed, simulated);
+      expect_same_bits(simulated, replayed, what);
+      if (rows > sim::kLanes) {
+        EXPECT_GE(longest_program_run(s), sim::kLanes) << what;
+      }
+    }
+  }
+}
+
+TEST(ValueOpLog, AlternatingProgramsRunOneSetAtATime) {
+  // A dot batch whose pair lengths alternate: every program run is one set
+  // long, and the batch still replays to the circuit's bits.
+  Rng rng(2824);
+  std::vector<std::vector<double>> us, vs, us2, vs2;
+  for (std::size_t i = 0; i < 24; ++i) {
+    const std::size_t len = i % 2 ? 13 : 70;
+    us.push_back(rng.vector(len));
+    vs.push_back(rng.vector(len));
+    us2.push_back(rng.vector(len));
+    vs2.push_back(rng.vector(len));
+  }
+  for (const auto kind : {fp::BackendKind::Soft, fp::BackendKind::Native}) {
+    fp::ScopedBackend scoped(kind);
+    sim::ScheduleSlot slot;
+    blas1::DotConfig cfg;
+    cfg.schedule = &slot;
+    blas1::DotEngine(cfg).run(us, vs);
+    const auto replayed = blas1::DotEngine(cfg).run(us2, vs2).results;
+    EXPECT_EQ(slot.replays(), 1u);
+    const auto simulated = blas1::DotEngine(blas1::DotConfig{}).run(us2, vs2).results;
+    expect_same_bits(simulated, replayed, std::string(fp::backend_name(kind)));
+    EXPECT_LT(longest_program_run(*slot.get()), sim::kLanes);
+    EXPECT_GE(slot.get()->program_runs.size(), us.size() / 2);
+  }
+}
+
+TEST(ValueOpLog, NonFiniteLaneLeavesTheOtherLanesBits) {
+  // One lane of a chunk meets NaNs, lanes of another chunk an infinity and
+  // opposite infinities (the default NaN); every other lane of those chunks
+  // is finite. Under the native backend those chunks are redone
+  // through the backend's add; every row must still be the circuit's.
+  Rng rng(2825);
+  const std::size_t rows = 29, cols = 53;
+  const auto clean = rng.matrix(rows, cols);
+  const auto x = rng.vector(cols);
+  auto a = clean;
+  // Chunk 1, lane 2: NaNs of three payloads meet, so the payload that
+  // survives shows the order of every add they pass through.
+  a[10 * cols + 5] = fp::from_bits(0xFFF8'0000'0000'BEEFull);
+  a[10 * cols + 30] = fp::from_bits(0x7FF8'0000'0000'CAFEull);
+  a[10 * cols + 47] = fp::from_bits(0xFFF0'0000'0000'0001ull);
+  const double inf = std::numeric_limits<double>::infinity();
+  a[17 * cols + 40] = std::copysign(inf, x[40]);  // chunk 2, lane 1: +inf
+  a[20 * cols + 0] = std::copysign(inf, x[0]);  // chunk 2, lane 4: +inf - inf
+  a[20 * cols + 52] = std::copysign(inf, -x[52]);
+  a[27 * cols + 3] = fp::from_bits(0x7FF0'0000'0000'0001ull);  // the width-1 tail
+  for (const auto kind : {fp::BackendKind::Soft, fp::BackendKind::Native}) {
+    fp::ScopedBackend scoped(kind);
+    sim::ScheduleSlot slot;
+    std::vector<double> replayed, simulated;
+    const sim::Schedule& s =
+        replay_and_simulate(slot, clean, a, rows, cols, x, replayed, simulated);
+    ASSERT_EQ(s.program_runs.front().second, 28u) << "rows 0-27 share a program";
+    expect_same_bits(simulated, replayed, std::string(fp::backend_name(kind)));
+    EXPECT_TRUE(std::isnan(replayed[10]));
+    EXPECT_TRUE(std::isinf(replayed[17]));
+    EXPECT_TRUE(std::isnan(replayed[20]));
+    for (const std::size_t row : {8u, 9u, 11u, 15u, 16u, 18u, 23u}) {
+      EXPECT_TRUE(std::isfinite(replayed[row])) << "row " << row;
+    }
+  }
 }
 
 TEST(ValueOpLog, ReplayRejectsAStreamItWasNotRecordedFor) {

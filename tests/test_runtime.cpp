@@ -898,9 +898,11 @@ TEST(Replay, PlanCacheExportsScheduleGauges) {
   EXPECT_EQ(n->value, 1.0);
   EXPECT_GT(bytes->value, 0.0);
 
-  // A 512x512 k = 4 tree GEMV: 72,704 ops (4 bytes each) and two offset
-  // tables of 513 entries (8 bytes each) over the object, its one set run
-  // and its telemetry fragment.
+  // A 512x512 k = 4 tree GEMV: 72,704 ops over 512 rows, which run only two
+  // programs of 142 ops once renamed: 504 steady-state rows, then the last
+  // 8, which the circuit drains with no row behind them. The schedule
+  // holds the object, the two programs and their code, the program runs,
+  // its one set run and its telemetry fragment.
   telemetry::Session big_tel;
   ContextConfig big_cfg;
   big_cfg.telemetry = &big_tel;
@@ -909,16 +911,19 @@ TEST(Replay, PlanCacheExportsScheduleGauges) {
   big.run(OpDesc::gemv(rng.matrix(dim, dim), dim, dim, rng.vector(dim)));
   const sim::Schedule& s =
       *slot_of(big, OpDesc::gemv(rng.matrix(dim, dim), dim, dim, rng.vector(dim))).get();
-  EXPECT_EQ(s.ops.size(), 72704u);
-  EXPECT_EQ(s.op_first.size(), dim + 1);
-  EXPECT_EQ(s.input_first.size(), dim + 1);
-  EXPECT_EQ(s.bytes(), sizeof(sim::Schedule) + 72704 * sizeof(u32) +
-                           2 * (dim + 1) * sizeof(std::size_t) +
-                           sizeof(s.set_runs[0]) +
+  EXPECT_EQ(s.ops, 72704u);
+  ASSERT_EQ(s.programs.size(), 2u);
+  EXPECT_EQ(s.code.size(), 2 * 142u);
+  const std::vector<std::pair<u32, std::size_t>> runs = {{0, 504}, {1, 8}};
+  EXPECT_EQ(s.program_runs, runs);
+  EXPECT_EQ(s.bytes(), sizeof(sim::Schedule) + 2 * sizeof(sim::Program) +
+                           s.code.size() * sizeof(u32) +
+                           runs.size() * sizeof(runs[0]) + sizeof(s.set_runs[0]) +
                            s.fragment.size() * sizeof(telemetry::Metric));
   EXPECT_EQ(big_tel.metrics().find("host.plan.schedule_bytes")->value,
             static_cast<double>(s.bytes()));
-  EXPECT_EQ(s.bytes(), 301488u);
+  EXPECT_EQ(s.bytes(), 3696u);
+  EXPECT_LE(s.bytes(), 16u * 1024);
 }
 
 TEST(Replay, ConcurrentSubmitsSplitWarmGemvReplaysOnThePool) {
@@ -934,7 +939,7 @@ TEST(Replay, ConcurrentSubmitsSplitWarmGemvReplaysOnThePool) {
   rt.run(OpDesc::gemv(a, n, n, xs[0]));  // simulates and records
   const sim::ScheduleSlot& slot = slot_of(rt, OpDesc::gemv(a, n, n, xs[0]));
   ASSERT_NE(slot.get(), nullptr);
-  EXPECT_GE(slot.get()->ops.size() / sim::kMinBlockOps, 4u);
+  EXPECT_GE(slot.get()->ops / sim::kMinBlockOps, 4u);
   std::vector<Outcome> want;
   for (const auto& x : xs) want.push_back(rt.run(OpDesc::gemv(a, n, n, x)));
   const u64 warm = slot.replays();
