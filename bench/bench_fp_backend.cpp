@@ -5,10 +5,8 @@
 // runs a tree GEMV through a Runtime, whose later runs replay the recorded
 // reduction schedule; every row's repetitions must match its first run.
 //
-// With XDBLAS_BENCH_JSON set, each row is also emitted as a JSONL object
-// (event "backend_bench"); tools/bench_compare diffs those rows against
-// BENCH_baseline.json.
-#include <chrono>
+// Each op writes two bench records (bench_util.hpp), "op/soft" and
+// "op/native"; the bench_all target collects them into BENCH.json.
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -23,7 +21,6 @@
 #include "fp/backend.hpp"
 #include "fp/softfloat.hpp"
 #include "host/runtime.hpp"
-#include "telemetry/json.hpp"
 
 using namespace xd;
 
@@ -34,39 +31,10 @@ struct RunResult {
   u64 cycles = 0;
 };
 
-struct Measurement {
-  RunResult result;
-  double best_ns = 0.0;
-};
-
 std::vector<u64> to_bits_vec(const std::vector<double>& v) {
   std::vector<u64> bits(v.size());
   std::memcpy(bits.data(), v.data(), v.size() * sizeof(double));
   return bits;
-}
-
-/// Best-of-`reps` wall-clock of `body` under the given backend. Every
-/// repetition must reproduce the first one's bits and cycles (for the
-/// replay row, the first run simulates and the later ones replay).
-Measurement measure(fp::BackendKind kind, int reps, const std::string& name,
-                    const std::function<RunResult()>& body) {
-  fp::ScopedBackend scoped(kind);
-  Measurement m;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    RunResult out = body();
-    const auto stop = std::chrono::steady_clock::now();
-    const double ns =
-        std::chrono::duration<double, std::nano>(stop - start).count();
-    if (r == 0 || ns < m.best_ns) m.best_ns = ns;
-    if (r > 0 && (out.bits != m.result.bits || out.cycles != m.result.cycles)) {
-      std::fprintf(stderr, "FATAL: %s run %d differs from run 0 (%s)\n",
-                   name.c_str(), r, fp::backend_name(kind).data());
-      std::exit(1);
-    }
-    m.result = std::move(out);
-  }
-  return m;
 }
 
 struct Case {
@@ -75,31 +43,44 @@ struct Case {
   std::function<RunResult()> body;
 };
 
-void run_cases(const std::vector<Case>& cases, int reps) {
+constexpr int kReps = 5;
+
+/// One rep of `c` under the given backend; every rep must reproduce the
+/// arm's first run, bits and cycles (for the replay row, the first run
+/// simulates and the later ones replay).
+auto arm(const Case& c, fp::BackendKind kind, std::vector<RunResult>& runs) {
+  return [&c, kind, &runs] {
+    fp::ScopedBackend scoped(kind);
+    runs.push_back(c.body());
+    const RunResult& first = runs.front();
+    if (runs.back().bits != first.bits || runs.back().cycles != first.cycles) {
+      std::fprintf(stderr, "FATAL: %s run %zu differs from run 0 (%s)\n",
+                   c.name.c_str(), runs.size() - 1,
+                   fp::backend_name(kind).data());
+      std::exit(1);
+    }
+  };
+}
+
+void run_cases(const std::vector<Case>& cases) {
   TextTable t({"Op kind", "FP ops", "Cycles", "soft ms", "native ms",
                "Speedup", "Bit-identical"});
   for (const auto& c : cases) {
-    const Measurement soft = measure(fp::BackendKind::Soft, reps, c.name, c.body);
-    const Measurement nat = measure(fp::BackendKind::Native, reps, c.name, c.body);
-    const bool bits_equal = soft.result.bits == nat.result.bits &&
-                            soft.result.cycles == nat.result.cycles;
-    const double speedup = soft.best_ns / nat.best_ns;
-    t.row(c.name, c.flops, soft.result.cycles,
-          TextTable::num(soft.best_ns / 1e6, 2),
-          TextTable::num(nat.best_ns / 1e6, 2),
+    std::vector<RunResult> soft, nat;
+    auto [soft_ns, nat_ns] =
+        bench::time_reps(kReps, arm(c, fp::BackendKind::Soft, soft),
+                         arm(c, fp::BackendKind::Native, nat));
+    const bool bits_equal = soft[0].bits == nat[0].bits &&
+                            soft[0].cycles == nat[0].cycles;
+    const double speedup = soft_ns.median() / nat_ns.median();
+    t.row(c.name, c.flops, soft[0].cycles,
+          TextTable::num(soft_ns.median() / 1e6, 2),
+          TextTable::num(nat_ns.median() / 1e6, 2),
           TextTable::num(speedup, 1) + "x", bits_equal ? "yes" : "NO");
-    telemetry::JsonWriter w;
-    w.begin_object()
-        .kv("event", "backend_bench")
-        .kv("op", c.name)
-        .kv("flops", c.flops)
-        .kv("cycles", soft.result.cycles)
-        .kv("soft_ns", soft.best_ns)
-        .kv("native_ns", nat.best_ns)
-        .kv("speedup", speedup)
-        .kv("bits_equal", bits_equal)
-        .end_object();
-    bench::jsonl(w.str());
+    bench::record({cat(c.name, "/soft"), soft[0].cycles, bits_equal,
+                   soft_ns, {{"flops", c.flops}}, {}});
+    bench::record({cat(c.name, "/native"), soft[0].cycles, bits_equal,
+                   nat_ns, {{"flops", c.flops}}, {{"speedup", speedup}}});
     if (!bits_equal) {
       std::fprintf(stderr, "FATAL: %s diverged between backends\n",
                    c.name.c_str());
@@ -144,7 +125,7 @@ int main() {
                            }
                            return RunResult{{acc}, 0};
                          }});
-    run_cases(cases, 3);
+    run_cases(cases);
   }
 
   // Cycle-accurate engines at their high-lane-count ("hot path") shapes:
@@ -237,7 +218,7 @@ int main() {
                                             out.report.cycles};
                          }});
 
-    run_cases(cases, 3);
+    run_cases(cases);
   }
 
   bench::note(

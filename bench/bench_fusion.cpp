@@ -7,13 +7,11 @@
 //
 // Staging cycles are deterministic simulator output — the fused plan MUST
 // pay strictly fewer on the DRAM-placed workloads, and the binary exits
-// nonzero if it doesn't (the fusion-smoke CI job leans on this). Wall
+// nonzero if it doesn't (the fusion_saves_staging test leans on this). Wall
 // clock is informational: fusion saves simulated staging, not host time.
 //
-// With XDBLAS_BENCH_JSON set, each row is also emitted as a JSONL object
-// (event "fusion_bench"); tools/bench_compare diffs those rows against
-// BENCH_fusion.json.
-#include <chrono>
+// Each workload writes two bench records (bench_util.hpp), "name/fused" and
+// "name/unfused"; the bench_all target collects them into BENCH.json.
 #include <cstring>
 #include <deque>
 #include <string>
@@ -23,7 +21,6 @@
 #include "common/random.hpp"
 #include "host/context.hpp"
 #include "host/graph.hpp"
-#include "telemetry/json.hpp"
 
 using namespace xd;
 
@@ -59,20 +56,6 @@ std::vector<host::Outcome> run_unfused(host::Runtime& rt,
     outs.push_back(rt.run(d));
   }
   return outs;
-}
-
-template <typename F>
-double best_ns_of(int reps, F&& body) {
-  double best = 0.0;
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    body();
-    const auto stop = std::chrono::steady_clock::now();
-    const double ns =
-        std::chrono::duration<double, std::nano>(stop - start).count();
-    if (r == 0 || ns < best) best = ns;
-  }
-  return best;
 }
 
 struct Workload {
@@ -159,18 +142,17 @@ int main() {
   TextTable t({"Workload", "Nodes", "fused stage", "unfused stage", "saved",
                "fused ms", "unfused ms", "Bit-identical"});
   int rc = 0;
+  constexpr int kReps = 21;
   for (auto& w : workloads) {
     host::Context fused_ctx;
     host::Context lone_ctx;
-    const int reps = 3;
 
+    // Untimed first runs build the plans and record their schedules.
     host::GraphOutcome fused = fused_ctx.runtime().run_graph(w.graph);
-    const double fused_ns = best_ns_of(
-        reps, [&] { fused = fused_ctx.runtime().run_graph(w.graph); });
-
     std::vector<host::Outcome> lone = run_unfused(lone_ctx.runtime(), w.graph);
-    const double unfused_ns =
-        best_ns_of(reps, [&] { lone = run_unfused(lone_ctx.runtime(), w.graph); });
+    auto [fused_ns, unfused_ns] = bench::time_reps(
+        kReps, [&] { fused = fused_ctx.runtime().run_graph(w.graph); },
+        [&] { lone = run_unfused(lone_ctx.runtime(), w.graph); });
 
     bool equal = fused.nodes.size() == lone.size();
     for (std::size_t i = 0; equal && i < lone.size(); ++i) {
@@ -186,26 +168,21 @@ int main() {
 
     t.row(w.name, static_cast<u64>(w.graph.nodes.size()), stage_fused,
           stage_unfused, fused.staging_saved_cycles,
-          TextTable::num(fused_ns / 1e6, 2), TextTable::num(unfused_ns / 1e6, 2),
-          equal ? "yes" : "NO");
+          TextTable::num(fused_ns.median() / 1e6, 2),
+          TextTable::num(unfused_ns.median() / 1e6, 2), equal ? "yes" : "NO");
 
-    telemetry::JsonWriter j;
-    j.begin_object()
-        .kv("event", "fusion_bench")
-        .kv("op", w.name)
-        .kv("nodes", static_cast<u64>(w.graph.nodes.size()))
-        .kv("cycles", fused.report.cycles)
-        .kv("staging_fused", stage_fused)
-        .kv("staging_unfused", stage_unfused)
-        .kv("staging_saved_cycles", fused.staging_saved_cycles)
-        .kv("fused_edges", fused.fused_edges)
-        .kv("shared_operands", fused.shared_operands)
-        .kv("fused_ns", fused_ns)
-        .kv("unfused_ns", unfused_ns)
-        .kv("speedup", unfused_ns / fused_ns)
-        .kv("bits_equal", equal)
-        .end_object();
-    bench::jsonl(j.str());
+    const std::vector<std::pair<std::string, double>> counters{
+        {"nodes", w.graph.nodes.size()},
+        {"staging_fused", stage_fused},
+        {"staging_unfused", stage_unfused},
+        {"staging_saved_cycles", fused.staging_saved_cycles},
+        {"fused_edges", fused.fused_edges},
+        {"shared_operands", fused.shared_operands}};
+    bench::record({cat(w.name, "/fused"), fused.report.cycles, equal,
+                   fused_ns, counters,
+                   {{"speedup", unfused_ns.median() / fused_ns.median()}}});
+    bench::record({cat(w.name, "/unfused"), fused.report.cycles, equal,
+                   unfused_ns, counters, {}});
 
     if (!equal) {
       std::fprintf(stderr, "FATAL: %s fused run diverged from per-op run\n",

@@ -3,17 +3,17 @@
 // single-device vs l in {1, 2, 3, 6}, with the scatter/gather transfer legs
 // charged through the machine's RocketIO and RapidArray channels.
 //
-// Hard gates, enforced in-binary (the shard-smoke CI job leans on this
-// binary's exit code):
+// Hard gates, enforced in-binary (the shard_bit_identical test leans on
+// this binary's exit code):
 //   * GEMM values must be bit-identical to the single-device run at every
 //     l, and the channel-driven simulation must land on the analytic model
 //     (ShardPlan::model_cycles) cycle-for-cycle.
-//   * GEMV sharded runs must be rerun-deterministic bit for bit.
+//   * Every sharded op must be rerun-deterministic bit for bit (the GEMV
+//     gate: its reduction reassociates across row batches).
 //   * l = 1 must cost exactly the single-device cycle count.
-// Simulated cycle counts are deterministic, so tools/bench_compare treats
-// any drift from BENCH_shard.json as a correctness failure; wall clock
-// (run_ns) is the informational perf field.
-#include <chrono>
+// Each row writes one bench record (bench_util.hpp); its cycles and link
+// counters are deterministic, so tools/bench_compare treats any drift
+// from BENCH.json as a correctness failure. wall_ns times the reruns.
 #include <cstring>
 #include <string>
 #include <vector>
@@ -23,7 +23,6 @@
 #include "host/context.hpp"
 #include "host/runtime.hpp"
 #include "host/shard.hpp"
-#include "telemetry/json.hpp"
 
 using namespace xd;
 
@@ -41,21 +40,6 @@ machine::SystemConfig small_system() {
   sys.chassis.nodes = 2;
   return sys;
 }
-
-struct Row {
-  std::string op;
-  unsigned l = 1;
-  u64 cycles = 0;
-  u64 model_cycles = 0;
-  u64 compute_cycles = 0;
-  u64 staging_cycles = 0;
-  double link_words = 0.0;
-  double interchassis_words = 0.0;
-  double speedup_vs_l1 = 0.0;  ///< deterministic: cycle ratio, not wall clock
-  double run_ns = 0.0;
-  bool bits_ok = false;
-  bool model_ok = false;
-};
 
 }  // namespace
 
@@ -77,7 +61,9 @@ int main() {
   const host::Outcome gemv_base =
       rt.run(host::OpDesc::gemv(va, rows, cols, vx));
 
-  std::vector<Row> out;
+  constexpr int kReps = 21;
+  TextTable t({"Workload", "l", "Cycles", "Model", "Compute", "Transfer",
+               "Speedup", "Bits", "Model==Sim"});
   bool failed = false;
   u64 gemm_l1 = 0, gemv_l1 = 0;
 
@@ -87,75 +73,47 @@ int main() {
           gemm ? host::OpDesc::gemm(ga, gb, n)
                : host::OpDesc::gemv(va, rows, cols, vx);
       host::ShardScheduler sched(rt, small_system());
-      const auto start = std::chrono::steady_clock::now();
       const host::ShardOutcome so = sched.run(desc, l);
-      const auto stop = std::chrono::steady_clock::now();
+      bool rerun_equal = true;
+      auto [wall] = bench::time_reps(kReps, [&] {
+        const host::ShardOutcome again = sched.run(desc, l);
+        rerun_equal = rerun_equal && bits_equal(again.values, so.values) &&
+                      again.report.cycles == so.report.cycles;
+      });
 
-      Row r;
-      r.op = cat(gemm ? "gemm-" : "gemv-", gemm ? n : rows, "-l", l);
-      r.l = l;
-      r.cycles = so.report.cycles;
-      r.model_cycles = so.plan.model_cycles;
-      r.compute_cycles = so.report.compute_cycles;
-      r.staging_cycles = so.report.staging_cycles;
-      r.link_words = so.link_words;
-      r.interchassis_words = so.interchassis_words;
-      r.run_ns =
-          std::chrono::duration<double, std::nano>(stop - start).count();
-
-      if (gemm) {
-        // GEMM: bit-identity to the single device and model==sim, both
-        // at every l (see host/shard.hpp's determinism contract).
-        r.bits_ok = bits_equal(so.values, gemm_base.values);
-        r.model_ok = so.report.cycles == so.plan.model_cycles;
-      } else {
-        // GEMV: the reduction circuit reassociates across row batches, so
-        // the gate is rerun bit-identity (and l = 1 exactness below).
-        host::ShardScheduler again(rt, small_system());
-        const host::ShardOutcome rep = again.run(desc, l);
-        r.bits_ok = bits_equal(so.values, rep.values) &&
-                    rep.report.cycles == so.report.cycles;
-        r.model_ok = true;  // GEMV's shard model is ranking-grade only
-      }
+      // GEMM: bit-identity to the single device and model==sim, both at
+      // every l (see host/shard.hpp's determinism contract). GEMV's shard
+      // model is ranking-grade only.
+      const u64 cycles = so.report.cycles;
+      bool bits_ok = rerun_equal &&
+                     (!gemm || bits_equal(so.values, gemm_base.values));
+      const bool model_ok = !gemm || cycles == so.plan.model_cycles;
       if (l == 1) {
-        const u64 base = gemm ? gemm_base.report.cycles
-                              : gemv_base.report.cycles;
-        r.bits_ok = r.bits_ok && so.report.cycles == base;
-        (gemm ? gemm_l1 : gemv_l1) = so.report.cycles;
+        bits_ok = bits_ok &&
+                  cycles == (gemm ? gemm_base : gemv_base).report.cycles;
+        (gemm ? gemm_l1 : gemv_l1) = cycles;
       }
-      r.speedup_vs_l1 = static_cast<double>(gemm ? gemm_l1 : gemv_l1) /
-                        static_cast<double>(so.report.cycles);
-      failed = failed || !r.bits_ok || !r.model_ok;
-      out.push_back(r);
-    }
-  }
+      // Deterministic: a cycle ratio, not wall clock.
+      const double speedup = static_cast<double>(gemm ? gemm_l1 : gemv_l1) /
+                             static_cast<double>(cycles);
+      failed = failed || !bits_ok || !model_ok;
 
-  TextTable t({"Workload", "l", "Cycles", "Model", "Compute", "Transfer",
-               "Speedup", "Bits", "Model==Sim"});
-  for (const Row& r : out) {
-    t.add_row({r.op, std::to_string(r.l), std::to_string(r.cycles),
-               std::to_string(r.model_cycles), std::to_string(r.compute_cycles),
-               std::to_string(r.staging_cycles),
-               TextTable::num(r.speedup_vs_l1, 2), r.bits_ok ? "yes" : "NO",
-               r.model_ok ? "yes" : "NO"});
-    if (bench::jsonl_stream()) {
-      telemetry::JsonWriter w;
-      w.begin_object()
-          .kv("event", "shard_bench")
-          .kv("op", r.op)
-          .kv("l", r.l)
-          .kv("cycles", r.cycles)
-          .kv("model_cycles", r.model_cycles)
-          .kv("compute_cycles", r.compute_cycles)
-          .kv("staging_cycles", r.staging_cycles)
-          .kv("link_words", r.link_words)
-          .kv("interchassis_words", r.interchassis_words)
-          .kv("speedup_vs_l1", r.speedup_vs_l1)
-          .kv("run_ns", r.run_ns)
-          .kv("bits_equal", r.bits_ok)
-          .kv("model_matches", r.model_ok)
-          .end_object();
-      bench::jsonl(w.str());
+      const std::string op =
+          cat(gemm ? "gemm-" : "gemv-", gemm ? n : rows, "-l", l);
+      t.row(op, l, cycles, so.plan.model_cycles, so.report.compute_cycles,
+            so.report.staging_cycles, TextTable::num(speedup, 2),
+            bits_ok ? "yes" : "NO", model_ok ? "yes" : "NO");
+      bench::record({op,
+                     cycles,
+                     bits_ok,
+                     wall,
+                     {{"l", l},
+                      {"model_cycles", so.plan.model_cycles},
+                      {"compute_cycles", so.report.compute_cycles},
+                      {"staging_cycles", so.report.staging_cycles},
+                      {"link_words", so.link_words},
+                      {"interchassis_words", so.interchassis_words}},
+                     {{"speedup_vs_l1", speedup}}});
     }
   }
   bench::print_table(t);

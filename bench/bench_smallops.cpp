@@ -13,12 +13,12 @@
 //     + std::function double allocation; a global operator-new counter
 //     measures allocations/op directly).
 //
-// Wall-clock fields (ns_per_op) are compared against BENCH_smallops.json by
-// tools/bench_compare with the usual perf threshold (warn-only in CI).
-// XDBLAS_SMALLOPS_OPS scales the op count (default 100000).
+// Each arm writes one bench record (bench_util.hpp) whose wall_ns samples
+// are ns per op, one per rep; tools/bench_compare diffs them against
+// BENCH.json. XDBLAS_SMALLOPS_OPS scales the op count per rep (default
+// 100000).
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,7 +33,6 @@
 #include "host/runtime.hpp"
 #include "serve/proto.hpp"
 #include "serve/server.hpp"
-#include "telemetry/json.hpp"
 
 // ---- global allocation counter ---------------------------------------------
 // Counts every operator-new in the process; arms snapshot it around their
@@ -60,15 +59,6 @@ using namespace xd;
 using host::OpDesc;
 using host::Outcome;
 using host::Runtime;
-
-struct Clock {
-  std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
-  double ns() const {
-    return std::chrono::duration<double, std::nano>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  }
-};
 
 /// One distinct tiny workload shape: caller-owned operands + the expected
 /// (sequential) digest and cycle count every concurrent execution must hit.
@@ -109,10 +99,12 @@ std::vector<TinyOp> make_tiny_ops(std::size_t k) {
   return ops;
 }
 
+constexpr int kReps = 5;
+
 struct ArmResult {
   std::string op;
-  std::size_t ops = 0;
-  double wall_ns = 0;
+  std::size_t ops = 0;     ///< per rep
+  bench::WallNs wall;      ///< ns per op, one sample per rep
   u64 cycles = 0;          ///< deterministic workload total (hard-gated)
   std::size_t mismatches = 0;
   double allocs_per_op = 0;
@@ -121,27 +113,31 @@ struct ArmResult {
 bool g_all_ok = true;
 
 void emit(const ArmResult& r) {
-  const double ns_per_op = r.ops ? r.wall_ns / static_cast<double>(r.ops) : 0;
-  const double ops_per_sec = r.wall_ns > 0
-                                 ? static_cast<double>(r.ops) * 1e9 / r.wall_ns
-                                 : 0;
+  const double ns_per_op = r.wall.median();
+  const double ops_per_sec = ns_per_op > 0 ? 1e9 / ns_per_op : 0;
   const bool ok = r.mismatches == 0;
   if (!ok) g_all_ok = false;
   std::printf("%-22s %9zu ops  %8.0f ops/s  %7.0f ns/op  %5.1f allocs/op%s\n",
               r.op.c_str(), r.ops, ops_per_sec, ns_per_op, r.allocs_per_op,
               ok ? "" : "  [MISMATCH]");
-  telemetry::JsonWriter w;
-  w.begin_object();
-  w.kv("event", std::string_view("smallops_bench"));
-  w.kv("op", r.op);
-  w.kv("ops", static_cast<u64>(r.ops));
-  w.kv("ns_per_op", ns_per_op);
-  w.kv("ops_per_sec", ops_per_sec);
-  w.kv("cycles", r.cycles);
-  w.kv("bits_equal", ok);
-  w.kv("allocs_per_op", r.allocs_per_op);
-  w.end_object();
-  bench::jsonl(w.str());
+  bench::record({r.op,
+                 r.cycles,
+                 ok,
+                 r.wall,
+                 {{"ops", r.ops}},
+                 {{"ops_per_sec", ops_per_sec},
+                  {"allocs_per_op", r.allocs_per_op}}});
+}
+
+/// Time kReps calls of `body` (each running r.ops ops) into r.wall, as ns
+/// per op, and the allocations they made into r.allocs_per_op.
+template <typename F>
+void time_arm(ArmResult& r, F&& body) {
+  const unsigned long long a0 = g_allocs.load();
+  auto [wall] = bench::time_reps(kReps, body);
+  const double ops = static_cast<double>(r.ops) * kReps;
+  r.allocs_per_op = static_cast<double>(g_allocs.load() - a0) / ops;
+  r.wall = wall.per(static_cast<double>(r.ops));
 }
 
 /// Verify one outcome against its TinyOp expectation (values digest AND
@@ -176,39 +172,36 @@ ArmResult arm_submit(const std::vector<TinyOp>& tiny, std::size_t n_ops,
   }
 
   std::atomic<std::size_t> mism{0};
-  const unsigned long long a0 = g_allocs.load();
-  Clock clk;
-  std::vector<std::thread> threads;
-  for (unsigned p = 0; p < producers; ++p) {
-    threads.emplace_back([&, p] {
-      // Windowed: bounded futures in flight per producer, no unbounded
-      // outcome buildup.
-      constexpr std::size_t kWindow = 2048;
-      const std::size_t lo = p * n_ops / producers;
-      const std::size_t hi = (p + 1) * n_ops / producers;
-      std::vector<std::future<Outcome>> futs;
-      futs.reserve(kWindow);
-      std::size_t base = lo;
-      for (std::size_t i = lo; i < hi; ++i) {
-        const std::size_t s = i % tiny.size();
-        futs.push_back(pinned ? rt.submit(tiny[s].desc, handles[s])
-                              : rt.submit(tiny[s].desc));
-        if (futs.size() == kWindow || i + 1 == hi) {
-          for (std::size_t j = 0; j < futs.size(); ++j) {
-            if (!matches(tiny[(base + j) % tiny.size()], futs[j].get())) {
-              mism.fetch_add(1, std::memory_order_relaxed);
+  time_arm(r, [&] {
+    std::vector<std::thread> threads;
+    for (unsigned p = 0; p < producers; ++p) {
+      threads.emplace_back([&, p] {
+        // Windowed: bounded futures in flight per producer, no unbounded
+        // outcome buildup.
+        constexpr std::size_t kWindow = 2048;
+        const std::size_t lo = p * n_ops / producers;
+        const std::size_t hi = (p + 1) * n_ops / producers;
+        std::vector<std::future<Outcome>> futs;
+        futs.reserve(kWindow);
+        std::size_t base = lo;
+        for (std::size_t i = lo; i < hi; ++i) {
+          const std::size_t s = i % tiny.size();
+          futs.push_back(pinned ? rt.submit(tiny[s].desc, handles[s])
+                                : rt.submit(tiny[s].desc));
+          if (futs.size() == kWindow || i + 1 == hi) {
+            for (std::size_t j = 0; j < futs.size(); ++j) {
+              if (!matches(tiny[(base + j) % tiny.size()], futs[j].get())) {
+                mism.fetch_add(1, std::memory_order_relaxed);
+              }
             }
+            base = i + 1;
+            futs.clear();
           }
-          base = i + 1;
-          futs.clear();
         }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  r.wall_ns = clk.ns();
-  r.allocs_per_op =
-      static_cast<double>(g_allocs.load() - a0) / static_cast<double>(n_ops);
+      });
+    }
+    for (auto& t : threads) t.join();
+  });
   r.mismatches = mism.load();
   return r;
 }
@@ -230,22 +223,19 @@ ArmResult arm_batch(const std::vector<TinyOp>& tiny, std::size_t n_ops) {
   }
   for (const TinyOp* t : order) r.cycles += t->cycles;
 
-  const unsigned long long a0 = g_allocs.load();
-  Clock clk;
-  constexpr std::size_t kChunk = 8192;
-  for (std::size_t lo = 0; lo < n_ops; lo += kChunk) {
-    const std::size_t hi = std::min(n_ops, lo + kChunk);
-    std::vector<OpDesc> descs;
-    descs.reserve(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) descs.push_back(order[i]->desc);
-    const std::vector<Outcome> outs = rt.run_batch(descs);
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (!matches(*order[i], outs[i - lo])) ++r.mismatches;
+  time_arm(r, [&] {
+    constexpr std::size_t kChunk = 8192;
+    for (std::size_t lo = 0; lo < n_ops; lo += kChunk) {
+      const std::size_t hi = std::min(n_ops, lo + kChunk);
+      std::vector<OpDesc> descs;
+      descs.reserve(hi - lo);
+      for (std::size_t i = lo; i < hi; ++i) descs.push_back(order[i]->desc);
+      const std::vector<Outcome> outs = rt.run_batch(descs);
+      for (std::size_t i = lo; i < hi; ++i) {
+        if (!matches(*order[i], outs[i - lo])) ++r.mismatches;
+      }
     }
-  }
-  r.wall_ns = clk.ns();
-  r.allocs_per_op =
-      static_cast<double>(g_allocs.load() - a0) / static_cast<double>(n_ops);
+  });
   return r;
 }
 
@@ -284,54 +274,52 @@ ArmResult arm_serve(std::size_t n_ops, std::size_t conns) {
   std::thread accept_thread([&] { server.serve(); });
 
   std::atomic<std::size_t> mism{0};
-  std::atomic<std::size_t> answered{0};
-  Clock clk;
-  std::vector<std::thread> threads;
-  for (std::size_t c = 0; c < conns; ++c) {
-    threads.emplace_back([&] {
-      try {
-        Socket sock = tcp_connect("127.0.0.1", server.port());
-        std::string payload;
-        for (std::size_t i = 0; i < per_conn; ++i) {
-          payload += lines[i % lines.size()];
-          payload += '\n';
-        }
-        if (!sock.send_all(payload)) {
-          mism.fetch_add(per_conn);
-          return;
-        }
-        sock.shutdown_write();
-        LineFramer framer(1 << 20);
-        char buf[16384];
-        std::string rec;
-        bool truncated = false;
-        std::size_t idx = 0;
-        for (;;) {
-          const long got = sock.recv_some(buf, sizeof buf);
-          if (got <= 0) break;
-          framer.feed(buf, static_cast<std::size_t>(got));
-          while (framer.next(rec, truncated)) {
-            const std::size_t i = idx++;
-            answered.fetch_add(1, std::memory_order_relaxed);
-            // Cheap wire-level check: the reply must carry the expected
-            // values_fnv digest for its line index.
-            char want[32];
-            std::snprintf(want, sizeof want, "\"values_fnv\":\"%016llx\"",
-                          static_cast<unsigned long long>(
-                              fnv[i % lines.size()]));
-            if (rec.find(want) == std::string::npos) {
-              mism.fetch_add(1, std::memory_order_relaxed);
+  time_arm(r, [&] {
+    std::vector<std::thread> threads;
+    for (std::size_t c = 0; c < conns; ++c) {
+      threads.emplace_back([&] {
+        try {
+          Socket sock = tcp_connect("127.0.0.1", server.port());
+          std::string payload;
+          for (std::size_t i = 0; i < per_conn; ++i) {
+            payload += lines[i % lines.size()];
+            payload += '\n';
+          }
+          if (!sock.send_all(payload)) {
+            mism.fetch_add(per_conn);
+            return;
+          }
+          sock.shutdown_write();
+          LineFramer framer(1 << 20);
+          char buf[16384];
+          std::string rec;
+          bool truncated = false;
+          std::size_t idx = 0;
+          for (;;) {
+            const long got = sock.recv_some(buf, sizeof buf);
+            if (got <= 0) break;
+            framer.feed(buf, static_cast<std::size_t>(got));
+            while (framer.next(rec, truncated)) {
+              const std::size_t i = idx++;
+              // Cheap wire-level check: the reply must carry the expected
+              // values_fnv digest for its line index.
+              char want[32];
+              std::snprintf(want, sizeof want, "\"values_fnv\":\"%016llx\"",
+                            static_cast<unsigned long long>(
+                                fnv[i % lines.size()]));
+              if (rec.find(want) == std::string::npos) {
+                mism.fetch_add(1, std::memory_order_relaxed);
+              }
             }
           }
+          if (idx != per_conn) mism.fetch_add(per_conn - idx);
+        } catch (const std::exception&) {
+          mism.fetch_add(1);
         }
-        if (idx != per_conn) mism.fetch_add(per_conn - idx);
-      } catch (const std::exception&) {
-        mism.fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  r.wall_ns = clk.ns();
+      });
+    }
+    for (auto& t : threads) t.join();
+  });
   r.mismatches = mism.load();
   server.drain();
   accept_thread.join();
@@ -346,23 +334,20 @@ ArmResult arm_pool_noop(std::size_t n_ops) {
   r.ops = n_ops;
   r.cycles = 0;
 
-  const unsigned long long a0 = g_allocs.load();
-  Clock clk;
   constexpr std::size_t kWindow = 4096;
   std::vector<std::future<int>> futs;
   futs.reserve(kWindow);
-  for (std::size_t i = 0; i < n_ops; ++i) {
-    futs.push_back(pool.submit([] { return 1; }));
-    if (futs.size() == kWindow || i + 1 == n_ops) {
-      for (auto& f : futs) {
-        if (f.get() != 1) ++r.mismatches;
+  time_arm(r, [&] {
+    for (std::size_t i = 0; i < n_ops; ++i) {
+      futs.push_back(pool.submit([] { return 1; }));
+      if (futs.size() == kWindow || i + 1 == n_ops) {
+        for (auto& f : futs) {
+          if (f.get() != 1) ++r.mismatches;
+        }
+        futs.clear();
       }
-      futs.clear();
     }
-  }
-  r.wall_ns = clk.ns();
-  r.allocs_per_op =
-      static_cast<double>(g_allocs.load() - a0) / static_cast<double>(n_ops);
+  });
   return r;
 }
 

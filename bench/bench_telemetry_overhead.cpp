@@ -11,9 +11,9 @@
 // both equally, and each arm keeps its own Runtime so plan caches stay warm
 // after the first (untimed) warm-up rep.
 //
-// With XDBLAS_BENCH_JSON set, each row is also emitted as a JSONL object
-// (event "overhead_bench"); tools/bench_compare diffs those rows against
-// BENCH_telemetry.json.
+// Each workload writes two bench records (bench_util.hpp),
+// "name/detached" and "name/attached"; the bench_all target collects them
+// into BENCH.json and runs this bench last.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -24,7 +24,6 @@
 #include "bench_util.hpp"
 #include "common/random.hpp"
 #include "host/runtime.hpp"
-#include "telemetry/json.hpp"
 #include "telemetry/session.hpp"
 
 using namespace xd;
@@ -160,26 +159,22 @@ int main() {
 
     // Each rep times the two arms back to back, so a host-noise burst hits
     // both and cancels in the per-rep ratio; the median ratio across reps
-    // is then robust to the occasional rep where it does not. The absolute
-    // ns fields still report best-of (the stable floor) for baselines.
-    double detached_ns = 0.0, attached_ns = 0.0;
+    // is then robust to the occasional rep where it does not.
+    auto [detached_ns, attached_ns] = bench::time_reps(
+        kReps,
+        [&] {
+          for (int p = 0; p < passes; ++p) dres = submit_all(detached, w.descs);
+        },
+        [&] {
+          tel.clear();  // fresh session state per rep, same as a fresh run
+          for (int p = 0; p < passes; ++p) ares = submit_all(attached, w.descs);
+        });
+    detached_ns.per(passes);
+    attached_ns.per(passes);
     std::vector<double> rep_overhead(kReps);
     for (int r = 0; r < kReps; ++r) {
-      auto start = std::chrono::steady_clock::now();
-      for (int p = 0; p < passes; ++p) dres = submit_all(detached, w.descs);
-      auto mid = std::chrono::steady_clock::now();
-      tel.clear();  // fresh session state per rep, same as a fresh run
-      for (int p = 0; p < passes; ++p) ares = submit_all(attached, w.descs);
-      auto stop = std::chrono::steady_clock::now();
-      const double dns =
-          std::chrono::duration<double, std::nano>(mid - start).count() /
-          passes;
-      const double ans =
-          std::chrono::duration<double, std::nano>(stop - mid).count() /
-          passes;
-      if (r == 0 || dns < detached_ns) detached_ns = dns;
-      if (r == 0 || ans < attached_ns) attached_ns = ans;
-      rep_overhead[r] = 100.0 * (ans - dns) / dns;
+      rep_overhead[r] =
+          100.0 * (attached_ns.ns[r] - detached_ns.ns[r]) / detached_ns.ns[r];
     }
 
     const bool bits_equal =
@@ -187,22 +182,16 @@ int main() {
     std::sort(rep_overhead.begin(), rep_overhead.end());
     const double overhead_pct = rep_overhead[kReps / 2];
     t.row(w.name, w.descs.size(), dres.cycles,
-          TextTable::num(detached_ns / 1e6, 2),
-          TextTable::num(attached_ns / 1e6, 2),
+          TextTable::num(detached_ns.median() / 1e6, 2),
+          TextTable::num(attached_ns.median() / 1e6, 2),
           TextTable::num(overhead_pct, 1) + "%", bits_equal ? "yes" : "NO");
 
-    telemetry::JsonWriter jw;
-    jw.begin_object()
-        .kv("event", "overhead_bench")
-        .kv("op", w.name)
-        .kv("ops", static_cast<u64>(w.descs.size()))
-        .kv("cycles", dres.cycles)
-        .kv("detached_ns", detached_ns)
-        .kv("attached_ns", attached_ns)
-        .kv("overhead_pct", overhead_pct)
-        .kv("bits_equal", bits_equal)
-        .end_object();
-    bench::jsonl(jw.str());
+    const double ops = static_cast<double>(w.descs.size());
+    bench::record({cat(w.name, "/detached"), dres.cycles, bits_equal,
+                   detached_ns, {{"ops", ops}}, {}});
+    bench::record({cat(w.name, "/attached"), dres.cycles, bits_equal,
+                   attached_ns, {{"ops", ops}},
+                   {{"overhead_pct", overhead_pct}}});
 
     if (!bits_equal) {
       std::fprintf(stderr, "FATAL: %s changed results when telemetry attached\n",

@@ -1,11 +1,15 @@
 // Full reconfigurable-system model: multiple chassis connected by RapidArray
 // external switches (Sec 6.4.2: a typical XD1 installation has 12 chassis,
-// 4 GB/s between chassis). Used by the multi-chassis GEMM projection bench
-// and the chassis-scaling example. Every link of the installation — each
-// chassis's RocketIO pairs and the inter-chassis links — lives in one
-// machine::LinkChain the System owns (links()); the host shard scheduler
-// (host/shard.hpp) builds that chain on its own, without the nodes and
-// their memories.
+// 4 GB/s between chassis). No library path builds a System: its users are
+// tests/test_machine.cpp and perfbench's traced `sharded` probe, which
+// times building one. The multi-chassis projection bench and the
+// chassis-scaling example project from a single-FPGA engine and
+// model/projections.hpp without one, and the host shard scheduler
+// (host/shard.hpp) builds a machine::LinkChain on its own, without the
+// nodes and their memories; SystemConfig (here) and ChassisConfig
+// (chassis.hpp) describe the topology for all of them. Every link of the installation — each chassis's RocketIO pairs and the
+// inter-chassis links — lives in one machine::LinkChain the System owns
+// (links()).
 //
 // Tick-ordering contract (pinned by tests/test_machine.cpp):
 // One System::tick() is one design-clock cycle for every component, advanced

@@ -13,16 +13,13 @@
 // checked bit-for-bit against a single-threaded run — the protocol-level
 // version of the runtime's determinism invariant. It then queries the
 // server's `stats` control record for the host.runtime.* latency
-// percentiles and emits one bench JSONL record:
-//
-//   {"event":"serve_bench","op":...,"conns":N,"ops":...,"completed":...,
-//    "errors":...,"shed":...,"bits_equal":true,"cycles":...,
-//    "ops_per_sec":...,"p50_us":...,"p99_us":...}
-//
-// `cycles` is the deterministic per-connection workload total (gated hard
-// by tools/bench_compare); ops_per_sec/p50_us/p99_us are wall-clock and
-// compared with the perf threshold. --self spins the server up in-process
-// on an ephemeral port, which is how BENCH_serve.json is (re)generated.
+// percentiles and emits one bench record (bench/bench_util.hpp):
+// `cycles` is the deterministic per-connection workload total and the
+// counters hold the op and response counts (all gated exactly by
+// tools/bench_compare); `wall_ns` has one sample per connection, its ns per
+// op; `info` carries ops/s and the server's p50/p95/p99. --self spins the
+// server up in-process on an ephemeral port, which is how the bench_all
+// target writes the serve_mixed row of BENCH.json.
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -35,8 +32,8 @@
 
 #include <unistd.h>
 
+#include "bench_util.hpp"
 #include "serve/server.hpp"
-#include "telemetry/json.hpp"
 
 using namespace xd;
 
@@ -152,11 +149,13 @@ struct ConnResult {
   std::size_t shed = 0;        ///< {"error":"overloaded"} records
   std::size_t mismatches = 0;  ///< digest or cycle disagreement
   bool io_ok = true;           ///< all lines sent, one response per record
+  double ns = 0;               ///< connect to last response
 };
 
 void run_conn(const std::string& host, std::uint16_t port,
               const std::vector<std::string>& lines,
               const std::vector<Expected>& exp, bool verify, ConnResult& r) {
+  const auto t0 = std::chrono::steady_clock::now();
   try {
     Socket sock = tcp_connect(host, port);
     std::string payload;
@@ -210,6 +209,9 @@ void run_conn(const std::string& host, std::uint16_t port,
   } catch (const std::exception&) {
     r.io_ok = false;
   }
+  r.ns = std::chrono::duration<double, std::nano>(
+             std::chrono::steady_clock::now() - t0)
+             .count();
 }
 
 /// One `stats` round-trip on a fresh connection.
@@ -326,6 +328,7 @@ int main(int argc, char** argv) {
             .count();
 
     ConnResult total;
+    bench::WallNs wall;
     for (const auto& r : results) {
       total.responses += r.responses;
       total.completed += r.completed;
@@ -333,6 +336,7 @@ int main(int argc, char** argv) {
       total.shed += r.shed;
       total.mismatches += r.mismatches;
       total.io_ok = total.io_ok && r.io_ok;
+      wall.ns.push_back(r.ns / static_cast<double>(ops));
     }
 
     const std::string stats = fetch_stats(host, port);
@@ -357,29 +361,26 @@ int main(int argc, char** argv) {
     const double ops_per_sec =
         wall_s > 0 ? static_cast<double>(total.completed) / wall_s : 0.0;
 
-    telemetry::JsonWriter w;
-    w.begin_object();
-    w.kv("event", std::string_view("serve_bench"));
-    w.kv("op", op_name);
-    w.kv("conns", static_cast<u64>(conns));
-    w.kv("ops", static_cast<u64>(ops * conns));
-    w.kv("completed", static_cast<u64>(total.completed));
-    w.kv("errors", static_cast<u64>(total.errors));
-    w.kv("shed", static_cast<u64>(total.shed));
-    w.kv("server_shed", shed_srv);
-    w.kv("bits_equal", bits_equal);
-    w.kv("verified", verify);
-    w.kv("cycles", workload_cycles);
-    w.kv("ops_per_sec", ops_per_sec);
-    w.kv("p50_us", p50);
-    w.kv("p95_us", p95);
-    w.kv("p99_us", p99);
-    w.kv("plan_hit_rate", plan_hit_rate);
-    w.kv("plan_pinned", static_cast<u64>(plan_pinned));
-    w.kv("pool_steals", static_cast<u64>(steals));
-    w.kv("pool_local_pops", static_cast<u64>(local_pops));
-    w.end_object();
-    const std::string rec = w.str() + "\n";
+    const std::string rec =
+        bench::record_json({op_name,
+                            workload_cycles,
+                            bits_equal,
+                            wall,
+                            {{"conns", conns},
+                             {"ops", ops * conns},
+                             {"completed", total.completed},
+                             {"errors", total.errors},
+                             {"shed", total.shed},
+                             {"server_shed", shed_srv}},
+                            {{"ops_per_sec", ops_per_sec},
+                             {"p50_us", p50},
+                             {"p95_us", p95},
+                             {"p99_us", p99},
+                             {"plan_hit_rate", plan_hit_rate},
+                             {"plan_pinned", plan_pinned},
+                             {"pool_steals", steals},
+                             {"pool_local_pops", local_pops}}}) +
+        "\n";
     if (out_path.empty()) {
       std::fputs(rec.c_str(), stdout);
       if (std::fflush(stdout) != 0) return 1;
