@@ -7,10 +7,10 @@
 // executed concurrently on the shared work-stealing pool, and reduced in a
 // fixed deterministic order. The scatter of operand panels to their nodes
 // and the gather of result panels back to node 0 are explicit
-// store-and-forward transfer legs charged through the chain's mem::Channels
-// (LinkChain::drive_leg), so link word counters record real traffic and the
-// reduced cycle count includes the communication the projections of
-// model/projections.cpp only estimate.
+// store-and-forward transfer legs, each costed in closed form and posted to
+// its hop's mem::Channel (LinkChain::drive_leg), so link word counters
+// record real traffic and the reduced cycle count includes the
+// communication the projections of model/projections.cpp only estimate.
 //
 // Determinism contract (pinned by tests/test_shard.cpp and the fuzz
 // harness's Sharded invariant):

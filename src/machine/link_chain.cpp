@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "machine/system.hpp"
 
@@ -18,15 +20,21 @@ void LinkChain::validate(const SystemConfig& cfg) {
   require(cfg.chassis_count >= 1, "link chain: needs at least one chassis");
   require(cfg.chassis.nodes >= 1,
           "link chain: needs at least one node per chassis");
-  require(positive_finite(cfg.chassis.link_bytes_per_s),
-          cat("link chain: RocketIO bandwidth must be positive, got ",
-              cfg.chassis.link_bytes_per_s, " B/s"));
-  require(positive_finite(cfg.interchassis_bytes_per_s),
-          cat("link chain: inter-chassis bandwidth must be positive, got ",
-              cfg.interchassis_bytes_per_s, " B/s"));
-  require(positive_finite(cfg.chassis.node.clock_mhz),
-          cat("link chain: node clock must be positive, got ",
-              cfg.chassis.node.clock_mhz, " MHz"));
+  // Messages are built only on failure: the scheduler validates per op.
+  if (!positive_finite(cfg.chassis.link_bytes_per_s)) {
+    throw ConfigError(
+        cat("link chain: RocketIO bandwidth must be positive, got ",
+            cfg.chassis.link_bytes_per_s, " B/s"));
+  }
+  if (!positive_finite(cfg.interchassis_bytes_per_s)) {
+    throw ConfigError(
+        cat("link chain: inter-chassis bandwidth must be positive, got ",
+            cfg.interchassis_bytes_per_s, " B/s"));
+  }
+  if (!positive_finite(cfg.chassis.node.clock_mhz)) {
+    throw ConfigError(cat("link chain: node clock must be positive, got ",
+                          cfg.chassis.node.clock_mhz, " MHz"));
+  }
 }
 
 LinkChain::LinkChain(const SystemConfig& cfg)
@@ -40,15 +48,19 @@ LinkChain::LinkChain(const SystemConfig& cfg)
   const std::size_t per_chassis = nodes_ - 1;
   fwd_.reserve(chassis_count_ * per_chassis);
   bwd_.reserve(chassis_count_ * per_chassis);
+  // Names by std::to_string, not cat(): the scheduler builds a chain per
+  // op, and an ostringstream per channel name dominated that build.
   for (unsigned c = 0; c < chassis_count_; ++c) {
+    const std::string chassis = "chassis" + std::to_string(c);
     for (unsigned i = 0; i + 1 < nodes_; ++i) {
-      fwd_.push_back(Link{mem::Channel(wpc, cat("chassis", c, ".fwd", i))});
-      bwd_.push_back(Link{mem::Channel(wpc, cat("chassis", c, ".bwd", i))});
+      const std::string index = std::to_string(i);
+      fwd_.push_back(Link{mem::Channel(wpc, chassis + ".fwd" + index)});
+      bwd_.push_back(Link{mem::Channel(wpc, chassis + ".bwd" + index)});
     }
   }
   xlinks_.reserve(chassis_count_ - 1);
   for (unsigned c = 0; c + 1 < chassis_count_; ++c)
-    xlinks_.push_back(Link{mem::Channel(xwpc, cat("syslink", c))});
+    xlinks_.push_back(Link{mem::Channel(xwpc, "syslink" + std::to_string(c))});
 }
 
 std::size_t LinkChain::intra_index(unsigned c, unsigned i) const {
@@ -75,25 +87,27 @@ LinkChain::Link& LinkChain::hop_link(unsigned p, bool forward) {
   return forward ? fwd_[at] : bwd_[at];
 }
 
+u64 LinkChain::leg_ticks(std::size_t words, double rate) {
+  if (words == 0) return 0;
+  const double ticks = std::ceil(static_cast<double>(words) / rate);
+  // 2^64: the first double a u64 cannot hold. `!(<)` also catches NaN.
+  if (!(ticks < 0x1p64)) {
+    throw SimError(cat("link chain: a leg of ", words, " words at ", rate,
+                       " words/cycle takes more than 2^64 cycles"));
+  }
+  return static_cast<u64>(ticks);
+}
+
 u64 LinkChain::drive_leg(unsigned p, bool forward, std::size_t words,
                          u64 ready) {
   Link& link = hop_link(p, forward);
-  mem::Channel& ch = link.ch;
   const u64 start = std::max(ready, link.busy);
-  const u64 min_ticks =
-      words > 0 ? static_cast<u64>(std::ceil(static_cast<double>(words) /
-                                             ch.rate()))
-                : 0;
-  std::size_t moved = 0;
-  u64 ticks = 0;
-  while (moved < words || ticks < min_ticks) {
-    ch.tick();
-    ++ticks;
-    while (moved < words && ch.can_transfer(1.0)) {
-      ch.transfer(1.0);
-      ++moved;
-    }
+  const u64 ticks = leg_ticks(words, link.ch.rate());
+  if (ticks > std::numeric_limits<u64>::max() - start) {
+    throw SimError(cat("link chain: a leg of ", ticks, " cycles from cycle ",
+                       start, " ends past cycle 2^64"));
   }
+  link.ch.advance(ticks, static_cast<double>(words));
   link.busy = start + ticks;
   return link.busy;
 }

@@ -10,9 +10,12 @@
 //
 // The chain is the one place two rules live: which channel carries hop p in
 // each direction (hop()), and the store-and-forward transfer leg with its
-// per-channel busy bookkeeping (drive_leg()). machine::System owns one for
-// its chassis links; host::ShardScheduler builds one per op at the engine
-// clock, which costs a few channels rather than a whole machine.
+// per-channel busy bookkeeping (drive_leg()). A leg is costed in closed form,
+// ceil(words / rate) cycles (Sec 5.2 / 6.4), and posted to its channel in
+// one bulk step, so its host cost does not grow with its length.
+// machine::System owns one for its chassis links; host::ShardScheduler
+// builds one per op at the engine clock, which costs a few channels rather
+// than a whole machine.
 #pragma once
 
 #include <cstddef>
@@ -54,14 +57,21 @@ class LinkChain {
   }
 
   /// Drive one store-and-forward leg of `words` over hop p, ready at cycle
-  /// `ready`: tick the hop's channel, moving whole words greedily, until the
-  /// panel has crossed AND the analytic duration ceil(words / rate) has
-  /// elapsed — so a leg's cost never depends on the fractional credit a
-  /// previous leg left behind, while the channel's word and cycle counters
-  /// record the real traffic. Legs on one channel are serialized: a leg
-  /// starts at max(ready, the channel's previous leg end). Returns the
-  /// cycle the leg completes.
+  /// `ready`. The leg takes leg_ticks(words, rate) cycles and posts them,
+  /// with its words, to the hop's channel in one Channel::advance. The
+  /// count does not depend on credit an earlier leg left behind: the
+  /// channel's burst (rate + 2 words) lets a greedy whole-word drain
+  /// finish within the ceil in exact arithmetic, which summing a double
+  /// rate per tick can miss by an ulp. Legs on one channel are serialized:
+  /// a leg starts at max(ready, the channel's previous leg end). Returns
+  /// the cycle the leg completes; throws SimError if that cycle does not
+  /// fit in a u64.
   u64 drive_leg(unsigned p, bool forward, std::size_t words, u64 ready);
+
+  /// Cycles a leg of `words` takes at `rate` words/cycle: 0 for no words,
+  /// else ceil(words / rate). Throws SimError if the count does not fit in
+  /// a u64 (a vanishing but positive rate).
+  static u64 leg_ticks(std::size_t words, double rate);
 
   /// Tick chassis c's links: its forward links, then its backward links.
   void tick_chassis(unsigned c);

@@ -27,8 +27,9 @@
 //     boundary is therefore allowed, never ambiguous: the inter-chassis
 //     link accrues its cycle-t credit after all chassis-side producers ran.
 //   - Transfers at coarser granularity (LinkChain::drive_leg moves a whole
-//     panel per leg) are store-and-forward: a leg completes on the hop's
-//     channel before the next hop starts.
+//     panel per leg, costed in closed form rather than ticked) are
+//     store-and-forward: a leg completes on the hop's channel before the
+//     next hop starts.
 #pragma once
 
 #include <memory>

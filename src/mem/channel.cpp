@@ -15,7 +15,8 @@ Channel::Channel(double words_per_cycle, std::string name, double burst_words)
       // broadcast word) without banking idle bandwidth indefinitely.
       burst_(burst_words > 0.0 ? burst_words : words_per_cycle + 2.0),
       name_(std::move(name)) {
-  require(words_per_cycle > 0.0, cat("channel ", name_, " needs positive rate"));
+  if (!(words_per_cycle > 0.0))
+    throw ConfigError(cat("channel ", name_, " needs positive rate"));
 }
 
 void Channel::throw_oversubscribed(double words) const {

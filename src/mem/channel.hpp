@@ -44,6 +44,18 @@ class Channel {
     transferred_ += words;
   }
 
+  /// Bulk accounting: `cycles` ticks during which `words` whole words
+  /// crossed, in one step. The counters advance as the ticks and transfers
+  /// would have moved them; the credit left is what those ticks accrued
+  /// beyond the words, capped at the burst. The caller guarantees the ticks
+  /// could carry the words (cycles * rate >= words).
+  void advance(u64 cycles, double words) {
+    cycles_ += cycles;
+    transferred_ += words;
+    const double left = credit_ + static_cast<double>(cycles) * rate_ - words;
+    credit_ = left < 0.0 ? 0.0 : left < burst_ ? left : burst_;
+  }
+
   double rate() const { return rate_; }
   u64 cycles() const { return cycles_; }
   double words_transferred() const { return transferred_; }

@@ -1,6 +1,8 @@
 #include "model/perf_model.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace xd::model {
 
@@ -72,7 +74,14 @@ GemmDesignPoint gemm_naive_multi(std::size_t n, unsigned k, unsigned l,
 namespace {
 
 u64 stage_cycles(double words, double wpc) {
-  return words > 0.0 ? static_cast<u64>(std::ceil(words / wpc)) : 0;
+  if (!(words > 0.0)) return 0;
+  const double cycles = std::ceil(words / wpc);
+  // 2^64: the first double a u64 cannot hold. `!(<)` also catches NaN.
+  if (!(cycles < 0x1p64)) {
+    throw SimError(cat("model: ", words, " words at ", wpc,
+                       " words/cycle take more than 2^64 cycles"));
+  }
+  return static_cast<u64>(cycles);
 }
 
 }  // namespace
@@ -159,8 +168,14 @@ u64 shard_timeline_cycles(const std::vector<ShardCost>& shards,
   auto leg = [&](std::size_t p, bool forward, double words, u64 ready) {
     const bool cross = (p + 1) % chain.nodes_per_chassis == 0;
     u64& until = busy[3 * p + (cross ? 2 : forward ? 0 : 1)];
-    until = std::max(until, ready) +
-            stage_cycles(words, cross ? chain.xlink_wpc : chain.link_wpc);
+    const u64 start = std::max(until, ready);
+    const u64 cycles =
+        stage_cycles(words, cross ? chain.xlink_wpc : chain.link_wpc);
+    if (cycles > std::numeric_limits<u64>::max() - start) {
+      throw SimError(cat("shard_timeline_cycles: a leg of ", cycles,
+                         " cycles from cycle ", start, " ends past 2^64"));
+    }
+    until = start + cycles;
     return until;
   };
 

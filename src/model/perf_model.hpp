@@ -195,10 +195,10 @@ struct ShardCost {
 /// shard's scatter-ready time (its panel walks hops 0..i-1, shards in
 /// ascending order, legs on one channel serialized), plus its engine
 /// cycles, plus the serialized gather legs back to node 0. Every leg costs
-/// ceil(words / words_per_cycle), the count machine::LinkChain::drive_leg
-/// ticks a channel for (a greedy whole-word drain of a credit accumulator
-/// whose burst exceeds rate + 1 word of carry) — the arithmetic
-/// host::ShardScheduler performs while driving the channels.
+/// ceil(words / words_per_cycle), the closed form
+/// machine::LinkChain::leg_ticks charges a channel with — the arithmetic
+/// host::ShardScheduler performs while driving the chain. Throws SimError
+/// when a leg's cycle count or end cycle does not fit in a u64.
 u64 shard_timeline_cycles(const std::vector<ShardCost>& shards,
                           const ShardChainModel& chain);
 

@@ -3,8 +3,10 @@
 // sensibly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "machine/area.hpp"
 #include "machine/chassis.hpp"
@@ -309,6 +311,215 @@ TEST(LinkChain, LegsOnOneChannelSerializeAndCostCeilWordsOverRate) {
 
   EXPECT_EQ(chain.link_words(), 400.0);
   EXPECT_EQ(chain.interchassis_words(), 128.0);
+}
+
+namespace {
+
+/// The per-cycle tick loop LinkChain::drive_leg ran before it computed legs
+/// in closed form, kept here as the reference the closed form must match:
+/// tick the channel, moving whole words greedily, until the panel has
+/// crossed and ceil(words / rate) cycles have elapsed.
+struct TickLoopLink {
+  mem::Channel ch;
+  u64 busy = 0;
+
+  u64 drive_leg(std::size_t words, u64 ready) {
+    const u64 start = std::max(ready, busy);
+    const u64 min_ticks =
+        words > 0 ? static_cast<u64>(std::ceil(static_cast<double>(words) /
+                                               ch.rate()))
+                  : 0;
+    std::size_t moved = 0;
+    u64 ticks = 0;
+    while (moved < words || ticks < min_ticks) {
+      ch.tick();
+      ++ticks;
+      while (moved < words && ch.can_transfer(1.0)) {
+        ch.transfer(1.0);
+        ++moved;
+      }
+    }
+    busy = start + ticks;
+    return busy;
+  }
+};
+
+/// A leg where the tick loop took one cycle more than ceil(words / rate).
+struct Overshoot {
+  std::size_t words;
+  u64 loop_ticks;
+  u64 closed_ticks;
+};
+
+/// Drives one leg of `words` on hop p of `chain` and on `ref`, both ready
+/// at `ready`, and checks the closed form against the loop: ticks, words,
+/// channel cycles and busy. The loop may overshoot the ceil by one cycle
+/// only where words / rate is an exact integer (summing `rate` fell an ulp
+/// short of it); those legs go to `overshoots`. Returns false once the two
+/// have diverged, after which their busy times legitimately differ.
+bool expect_leg_matches(LinkChain& chain, unsigned p, TickLoopLink& ref,
+                        std::size_t words, u64 ready, bool in_step,
+                        std::vector<Overshoot>& overshoots) {
+  mem::Channel& ch = chain.hop(p, true);
+  const double rate = ch.rate();
+  const double q = static_cast<double>(words) / rate;
+  const u64 ceil_ticks = words > 0 ? static_cast<u64>(std::ceil(q)) : 0;
+  const u64 cycles0 = ch.cycles();
+  const double words0 = ch.words_transferred();
+  const u64 ref_cycles0 = ref.ch.cycles();
+  const u64 ref_start = std::max(ready, ref.busy);
+
+  const u64 closed_end = chain.drive_leg(p, true, words, ready);
+  const u64 closed_ticks = ch.cycles() - cycles0;
+  const u64 loop_end = ref.drive_leg(words, ready);
+  const u64 loop_ticks = ref.ch.cycles() - ref_cycles0;
+
+  const auto where = [&] {
+    return cat("rate ", rate, " words ", words, " ready ", ready);
+  };
+  EXPECT_EQ(closed_ticks, ceil_ticks) << where();
+  EXPECT_EQ(ch.words_transferred() - words0, static_cast<double>(words))
+      << where();
+  EXPECT_EQ(ref.ch.words_transferred(), ch.words_transferred()) << where();
+  EXPECT_EQ(loop_end, ref_start + loop_ticks) << where();
+  if (loop_ticks == closed_ticks) {
+    if (in_step) {
+      EXPECT_EQ(closed_end, loop_end) << where();
+      EXPECT_EQ(ch.cycles(), ref.ch.cycles()) << where();
+    }
+    return in_step;
+  }
+  EXPECT_EQ(loop_ticks, closed_ticks + 1) << where();
+  EXPECT_EQ(std::ceil(q), q) << "the loop overshot off an integer: "
+                             << where();
+  overshoots.push_back({words, loop_ticks, closed_ticks});
+  return false;
+}
+
+SystemConfig chain_at(double clock_mhz, double link_bytes_per_s,
+                      double xlink_bytes_per_s) {
+  SystemConfig cfg = chain_config(2, 2);  // hop 0 RocketIO, hop 1 crosses
+  cfg.chassis.node.clock_mhz = clock_mhz;
+  cfg.chassis.link_bytes_per_s = link_bytes_per_s;
+  cfg.interchassis_bytes_per_s = xlink_bytes_per_s;
+  return cfg;
+}
+
+/// Bytes/s that give `wpc` words per cycle at 100 MHz.
+double bytes_for_wpc(double wpc) { return wpc * kWordBytes * 100e6; }
+
+}  // namespace
+
+TEST(LinkChain, ClosedFormLegMatchesTheTickLoop) {
+  // Rates: the XD1 RocketIO (2 GB/s) and inter-chassis (4 GB/s) links at
+  // the 130, 164 and 180 MHz engine clocks, then integral and fractional
+  // rates (including one below a word per cycle).
+  std::vector<SystemConfig> configs;
+  for (double mhz : {130.0, 164.0, 180.0})
+    configs.push_back(chain_at(mhz, 2.0 * kGB, 4.0 * kGB));
+  configs.push_back(chain_at(100.0, bytes_for_wpc(1.0), bytes_for_wpc(3.0)));
+  configs.push_back(chain_at(100.0, bytes_for_wpc(0.3), bytes_for_wpc(2.5)));
+  configs.push_back(chain_at(100.0, bytes_for_wpc(0.7), bytes_for_wpc(1.37)));
+
+  // Overshoots here are checked leg by leg; the sweep below counts them.
+  std::vector<Overshoot> grid_overshoots;
+  for (const SystemConfig& cfg : configs) {
+    for (unsigned p : {0u, 1u}) {
+      const double rate = LinkChain(cfg).hop(p, true).rate();
+      // Words: 0, 1, the three counts from floor(m * rate) up, which
+      // straddle m cycles' worth (at 180 MHz, m = 18 is exactly 25 words),
+      // and 10^5.
+      std::vector<std::size_t> words = {0, 1, 2, 100000};
+      for (double m : {1.0, 2.0, 3.0, 7.0, 18.0, 25.0, 100.0, 900.0}) {
+        const auto at = static_cast<std::size_t>(std::floor(m * rate));
+        for (std::size_t w : {at, at + 1, at + 2})
+          if (w > 0) words.push_back(w);
+      }
+      // Leftover credit from earlier legs of 0 (fresh), 1, 7 and 333
+      // words; the leg under test ready before the channel frees (ready 0)
+      // or after it (busy + 11).
+      for (std::size_t prior : {0u, 1u, 7u, 333u}) {
+        for (bool ready_first : {true, false}) {
+          for (std::size_t w : words) {
+            LinkChain chain(cfg);
+            TickLoopLink ref{mem::Channel(rate, "ref")};
+            const bool in_step =
+                prior == 0 || expect_leg_matches(chain, p, ref, prior, 0,
+                                                 true, grid_overshoots);
+            const u64 ready = ready_first ? 0 : ref.busy + 11;
+            expect_leg_matches(chain, p, ref, w, ready, in_step,
+                               grid_overshoots);
+          }
+        }
+      }
+    }
+  }
+  // Fresh RocketIO channels, every leg of 1..20000 words. At 180 MHz the
+  // rate is 25/18 words/cycle, and the loop overshot at every multiple of
+  // 25 words; at 130 and 164 MHz it never did.
+  for (double mhz : {130.0, 164.0, 180.0}) {
+    const SystemConfig cfg = chain_at(mhz, 2.0 * kGB, 4.0 * kGB);
+    const double rate = LinkChain(cfg).hop(0, true).rate();
+    std::vector<Overshoot> found;
+    for (std::size_t w = 1; w <= 20000; ++w) {
+      LinkChain chain(cfg);
+      TickLoopLink ref{mem::Channel(rate, "ref")};
+      expect_leg_matches(chain, 0, ref, w, 0, true, found);
+    }
+    if (mhz != 180.0) {
+      EXPECT_TRUE(found.empty()) << mhz << " MHz: " << found.size();
+      continue;
+    }
+    ASSERT_EQ(found.size(), 800u);
+    for (std::size_t i = 0; i < found.size(); ++i)
+      EXPECT_EQ(found[i].words, 25 * (i + 1));
+    EXPECT_EQ(found[73].words, 1850u);
+    EXPECT_EQ(found[73].loop_ticks, 1333u);
+    EXPECT_EQ(found[73].closed_ticks, 1332u);
+  }
+}
+
+TEST(LinkChain, VanishingRateLegsReturnAtOnceOrThrow) {
+  // 1e-3 B/s is 7.4e-13 words/cycle at 170 MHz: the tick loop would have
+  // run ~1.4e13 times for ten words. The closed form answers at once.
+  SystemConfig slow = chain_config(2, 2);
+  slow.chassis.link_bytes_per_s = 1e-3;
+  LinkChain chain(slow);
+  mem::Channel& ch = chain.hop(0, true);
+  const u64 want = static_cast<u64>(std::ceil(10.0 / ch.rate()));
+  EXPECT_GT(want, u64{1} << 40);
+  EXPECT_EQ(chain.drive_leg(0, true, 10, 0), want);
+  EXPECT_EQ(ch.cycles(), want);
+  EXPECT_EQ(ch.words_transferred(), 10.0);
+  // The same count, from a ready cycle it would carry past 2^64.
+  const u64 late = std::numeric_limits<u64>::max() - want + 1;
+  EXPECT_THROW(chain.drive_leg(0, false, 10, late), SimError);
+  EXPECT_EQ(chain.drive_leg(0, false, 10, late - 1),
+            std::numeric_limits<u64>::max());
+
+  // At 1e-300 B/s, ceil(words / rate) is inf: no u64 holds it.
+  SystemConfig vanishing = chain_config(2, 2);
+  vanishing.chassis.link_bytes_per_s = 1e-300;
+  LinkChain gone(vanishing);
+  EXPECT_THROW(gone.drive_leg(0, true, 10, 0), SimError);
+  EXPECT_EQ(gone.drive_leg(0, true, 0, 7), 7u);  // no words, no cycles
+  // Finite but past 2^64 throws too.
+  EXPECT_THROW(LinkChain::leg_ticks(10, 1e-20), SimError);
+  EXPECT_EQ(LinkChain::leg_ticks(0, 1e-300), 0u);
+}
+
+TEST(LinkChain, ChannelNamesArePinned) {
+  // Channel errors name the link; the per-op chain build keeps the names.
+  LinkChain chain(chain_config(3, 3));
+  EXPECT_EQ(chain.forward_link(0, 0).name(), "chassis0.fwd0");
+  EXPECT_EQ(chain.backward_link(0, 0).name(), "chassis0.bwd0");
+  EXPECT_EQ(chain.forward_link(2, 1).name(), "chassis2.fwd1");
+  EXPECT_EQ(chain.backward_link(1, 1).name(), "chassis1.bwd1");
+  EXPECT_EQ(chain.chassis_link(0).name(), "syslink0");
+  EXPECT_EQ(chain.chassis_link(1).name(), "syslink1");
+  LinkChain full(chain_config(12, 6));
+  EXPECT_EQ(full.forward_link(11, 4).name(), "chassis11.fwd4");
+  EXPECT_EQ(full.chassis_link(10).name(), "syslink10");
 }
 
 TEST(LinkChain, RejectsDegenerateTopologyRatesAndClock) {

@@ -18,6 +18,7 @@
 #include "host/context.hpp"
 #include "host/runtime.hpp"
 #include "host/shard.hpp"
+#include "mem/channel.hpp"
 #include "model/perf_model.hpp"
 
 using namespace xd;
@@ -82,6 +83,29 @@ TEST(ShardModel, GemmModelAtL1IsThePanelModel) {
   m.engine_wpc = 1.0;
   EXPECT_EQ(model::shard_gemm_model_cycles(48, m),
             model::mm_hier_panel_cycles(48, 48, 8, 1, 48, 1.0));
+}
+
+TEST(ShardModel, TimelineThrowsWhenALegDoesNotFitAU64) {
+  // Shard 1 sits one RocketIO hop from node 0 on a 2-node chassis.
+  model::ShardChainModel chain;
+  chain.nodes_per_chassis = 2;
+  chain.xlink_wpc = 1.0;
+  const std::vector<model::ShardCost> shards = {{0.0, 5, 0.0},
+                                                {10.0, 5, 1.0}};
+  // 1e-3 B/s: a vanishing rate whose legs still fit a u64 costs the ceil.
+  chain.link_wpc = mem::Channel::words_per_cycle_for(1e-3, 170e6);
+  const u64 scatter = static_cast<u64>(std::ceil(10.0 / chain.link_wpc));
+  const u64 gather = static_cast<u64>(std::ceil(1.0 / chain.link_wpc));
+  EXPECT_EQ(model::shard_timeline_cycles(shards, chain),
+            scatter + 5 + gather);
+  // 1e-300 B/s: ceil(words / wpc) is inf.
+  chain.link_wpc = mem::Channel::words_per_cycle_for(1e-300, 170e6);
+  EXPECT_THROW(model::shard_timeline_cycles(shards, chain), SimError);
+  // Every count fits, but the gather leg ends past 2^64.
+  chain.link_wpc = 1.0;
+  const std::vector<model::ShardCost> late = {
+      {0.0, 5, 0.0}, {10.0, std::numeric_limits<u64>::max() - 100, 1000.0}};
+  EXPECT_THROW(model::shard_timeline_cycles(late, chain), SimError);
 }
 
 // ---- GEMM -----------------------------------------------------------------
@@ -200,6 +224,28 @@ TEST(ShardGemm, SimulationMatchesAnalyticModelCycleForCycle) {
     ShardScheduler sched(rt, small_system());
     const ShardOutcome out = sched.run(OpDesc::gemm(a, b, n), l);
     EXPECT_EQ(out.report.cycles, out.plan.model_cycles) << "l=" << l;
+  }
+}
+
+TEST(ShardGemm, ModelMatchesSimulationAcrossEngineClocks) {
+  // The link rates follow the engine clock. At 180 MHz a 2 GB/s RocketIO
+  // link moves 25 words per 18 cycles, so words / rate lands on exact
+  // integers; a leg must still cost exactly the model's ceil there.
+  Rng rng(29);
+  for (std::size_t n : {96u, 200u}) {
+    const auto a = rng.matrix(n, n);
+    const auto b = rng.matrix(n, n);
+    for (double mhz : {100.0, 130.0, 164.0, 180.0, 200.0, 250.0}) {
+      ContextConfig cfg;
+      cfg.mm_clock_mhz = mhz;
+      Runtime rt(cfg);
+      ShardScheduler sched(rt, small_system());
+      for (unsigned l : {2u, 3u, 6u}) {
+        const ShardOutcome out = sched.run(OpDesc::gemm(a, b, n), l);
+        EXPECT_EQ(out.report.cycles, out.plan.model_cycles)
+            << "n=" << n << " clock=" << mhz << " MHz l=" << l;
+      }
+    }
   }
 }
 
