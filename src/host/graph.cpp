@@ -76,19 +76,18 @@ std::size_t op_slot_len(const OpDesc& desc, OperandSlot slot) {
   return 0;
 }
 
-namespace {
-
-/// The operand pointer a slot maps onto (null for an absent slot).
-const std::vector<double>* slot_pointer(const OpDesc& desc, OperandSlot slot) {
+const std::vector<double>*& slot_pointer(OpDesc& desc, OperandSlot slot) {
   switch (slot) {
     case OperandSlot::A: return desc.a;
     case OperandSlot::B: return desc.b;
-    case OperandSlot::X: return desc.x;
+    case OperandSlot::X: break;
   }
-  return nullptr;
+  return desc.x;
 }
 
-}  // namespace
+const std::vector<double>* slot_pointer(const OpDesc& desc, OperandSlot slot) {
+  return slot_pointer(const_cast<OpDesc&>(desc), slot);
+}
 
 void GraphDesc::validate() const {
   require(!nodes.empty(), "graph: no nodes");

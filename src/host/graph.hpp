@@ -48,6 +48,10 @@ struct GraphEdge {
 /// gemv/spmxv, batch for dot-batch, n*n for the gemms).
 std::size_t op_output_len(const OpDesc& desc);
 
+/// The OpDesc pointer field an operand slot maps onto.
+const std::vector<double>* slot_pointer(const OpDesc& desc, OperandSlot slot);
+const std::vector<double>*& slot_pointer(OpDesc& desc, OperandSlot slot);
+
 /// Expected element count of an operand slot, or 0 if the op has no such
 /// slot (e.g. X on a dot, A on a spmxv — the sparse matrix is not fusable).
 std::size_t op_slot_len(const OpDesc& desc, OperandSlot slot);

@@ -2,13 +2,14 @@
 // (op kind, shapes, placement, architecture) and the machine configuration
 // — not on the operand values — computed once and memoized.
 //
-// A Plan holds the fully derived engine configuration (clock, words/cycle,
-// pipeline depths), the DRAM staging cost for Placement::Dram (the block
-// that used to be duplicated across Context::dot and Context::gemv), the
-// chosen SRAM panel edge for GEMM, and the GEMV on-chip capacity check.
-// Building one runs all shape validation that does not need the operand
-// data, so a cached hit skips validation, configuration and floorplanning
-// entirely.
+// build_plan() is the one plan builder for every tune policy. It resolves
+// the key to a design (family, k, m, l, b): the configured one under
+// TunePolicy::Fixed, the tuner's winner under Model and Probe (host/
+// tuner.hpp). The design goes through one emitter (design_config) and one
+// finishing step that adds the DRAM staging cost for Placement::Dram, the
+// GEMV on-chip capacity check and the blocked-GEMV fallback. Building a
+// plan runs all shape validation that does not need the operand data, so a
+// cached hit skips validation, configuration and floorplanning entirely.
 //
 // PlanCache is a bounded, mutex-guarded LRU keyed by PlanKey; it is shared
 // by the synchronous facade and the concurrent runtime, and publishes
@@ -99,11 +100,17 @@ struct Plan {
   std::shared_ptr<sim::ScheduleSlot> schedule;
 };
 
-// ---- configuration-derived helpers hoisted out of Context ------------------
+// ---- configuration-derived helpers -----------------------------------------
 
 /// Largest SRAM panel edge <= mm_b that tiles the given n (throws
-/// ConfigError if none exists — use the compat layer's padding then).
+/// ConfigError if none exists — use the compat layer's padding then — or
+/// if mm_m, mm_b or mm_l is zero).
 std::size_t choose_panel_edge(const ContextConfig& cfg, std::size_t n);
+
+/// BRAM words the reduction-circuit designs (dot, tree GEMV, SpMXV) hold
+/// besides their x store: the two alpha^2 reduction buffers and the
+/// staging FIFOs of gemv_bram_plan.
+u64 reduction_buffer_words(const ContextConfig& cfg);
 
 /// BRAM floorplan of the GEMV design for a cols-wide x; throws ConfigError
 /// if the design cannot be built on the configured device.
@@ -115,14 +122,16 @@ mem::BramBudget gemm_bram_plan(const ContextConfig& cfg);
 /// Words of x the GEMV design can keep on-chip next to its buffers.
 std::size_t gemv_onchip_x_capacity(const ContextConfig& cfg);
 
-/// Build the immutable plan for one key. All validation and configuration
-/// that the shapes allow happens here, once per distinct key.
+/// Build the immutable plan for one key under its tune policy. All
+/// validation and configuration that the shapes allow happens here, once
+/// per distinct key; throws ConfigError (including a zero mm_m, mm_b or
+/// mm_l for a configured GEMM design).
 Plan build_plan(const ContextConfig& cfg, const PlanKey& key);
 
 // ---- graph plans -----------------------------------------------------------
 
-/// Per-node staging budget inside a graph plan. `unfused_*` is exactly what
-/// the node's single-op Plan would pay (per-op execution); `fused_*` is
+/// Per-node staging budget inside a graph plan. `unfused_*` is the node's
+/// single-op Plan's staging (per-op execution); `fused_*` is
 /// what it pays inside its chain, after SRAM forwarding skipped edge-fed
 /// operand stagings, chain-shared externals were staged once, and
 /// non-kept, fully-forwarded results dropped their writeback. Cycles are in

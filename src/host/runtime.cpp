@@ -312,13 +312,7 @@ GraphOutcome Runtime::execute_graph(const GraphDesc& g,
   for (const std::size_t idx : plan->order) {
     OpDesc d = g.nodes[idx].desc;
     for (const auto& e : g.edges) {
-      if (e.to != idx) continue;
-      const std::vector<double>* src = &go.nodes[e.from].values;
-      switch (e.slot) {
-        case OperandSlot::A: d.a = src; break;
-        case OperandSlot::B: d.b = src; break;
-        case OperandSlot::X: d.x = src; break;
-      }
+      if (e.to == idx) slot_pointer(d, e.slot) = &go.nodes[e.from].values;
     }
     d.validate();
 

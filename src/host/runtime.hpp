@@ -138,6 +138,13 @@ class Runtime {
   /// sessions must not overlap (the metric handles are cached per session).
   void publish(telemetry::Session& tel) const;
 
+  /// The engine dispatch every execution path shares: run the engine `plan`
+  /// resolved to on `desc`'s operands, recording into `tel` (may be null).
+  /// Adds no staging. The tuner's probes run through it on plans with no
+  /// schedule slot.
+  static Outcome run_engine(const Plan& plan, const OpDesc& desc,
+                            telemetry::Session* tel);
+
  private:
   /// `pinned` (optional) bypasses the cache probe when its key matches the
   /// descriptor's; on mismatch the normal lookup runs.
@@ -167,8 +174,6 @@ class Runtime {
   auto tracked(const char* kind, const Ticket& t, bool pooled, Body&& body);
   Outcome run_op(const OpDesc& desc, const Plan* pinned, const Ticket& t,
                  bool pooled);
-  Outcome run_engine(const Plan& plan, const OpDesc& desc,
-                     telemetry::Session* tel);
   GraphOutcome execute_graph(const GraphDesc& g, telemetry::Session* tel,
                              telemetry::TraceContext* tc);
   void observe_latency(telemetry::Session& tel,

@@ -4,14 +4,8 @@
 #include <cmath>
 #include <numeric>
 
-#include "blas1/dot_engine.hpp"
-#include "blas2/mxv_col.hpp"
-#include "blas2/mxv_tree.hpp"
-#include "blas2/spmxv.hpp"
-#include "blas3/mm_array.hpp"
-#include "blas3/mm_hier.hpp"
-#include "blas3/mm_multi.hpp"
 #include "common/random.hpp"
+#include "host/runtime.hpp"
 #include "model/perf_model.hpp"
 
 namespace xd::host {
@@ -35,12 +29,6 @@ u64 tree_tail_cycles(unsigned k, unsigned adder_stages, unsigned mult_stages) {
   const u64 reduction =
       static_cast<u64>(log2_ceil(adder_stages) + 1) * adder_stages;
   return mult_stages + tree + reduction;
-}
-
-/// Fixed BRAM words of the reduction-circuit designs (mirrors
-/// gemv_bram_plan's non-x allocations).
-u64 reduction_buffer_words(unsigned adder_stages) {
-  return 2ull * adder_stages * adder_stages + 128;
 }
 
 void finish_candidate(TuneCandidate& c, const ContextConfig& cfg, u64 cycles) {
@@ -77,7 +65,7 @@ void add_dot(std::vector<TuneCandidate>& out, const ContextConfig& cfg,
     c.family = TuneFamily::Dot;
     c.k = k;
     c.area = area.dot_design(k);
-    c.bram_words = reduction_buffer_words(cfg.adder_stages);
+    c.bram_words = reduction_buffer_words(cfg);
     const double wpc = words_per_cycle(cfg.dot_mem_bytes_per_s,
                                        c.area.clock_mhz);
     c.required_words_per_cycle = 2.0 * k;  // both vectors stream, no reuse
@@ -105,7 +93,7 @@ void add_gemv_tree(std::vector<TuneCandidate>& out, const ContextConfig& cfg,
     // x sits next to the reduction buffers (Sec 4.2 arch 1). Callers with a
     // blocked-x fallback (GemvAuto) charge only the resident panel, not the
     // whole vector.
-    c.bram_words = reduction_buffer_words(cfg.adder_stages) + resident_x_words;
+    c.bram_words = reduction_buffer_words(cfg) + resident_x_words;
     c.required_words_per_cycle = k;  // one word of A per lane per cycle
     c.available_words_per_cycle = std::min<double>(k, cfg.sram_banks);
     c.feasible = k <= cfg.sram_banks;
@@ -161,7 +149,7 @@ void add_spmxv(std::vector<TuneCandidate>& out, const ContextConfig& cfg,
     c.family = TuneFamily::Spmxv;
     c.k = k;
     c.area = area.mxv_design_xd1(k);
-    c.bram_words = reduction_buffer_words(cfg.adder_stages) + cols;
+    c.bram_words = reduction_buffer_words(cfg) + cols;
     // Value + index pairs: k/2 CRS elements per cycle occupy k banks.
     c.required_words_per_cycle = k;
     c.available_words_per_cycle = cfg.sram_banks;
@@ -292,49 +280,47 @@ void add_gemm(std::vector<TuneCandidate>& out, const ContextConfig& cfg,
 /// the fixed seed just keeps the whole tuner a pure function.
 constexpr u64 kProbeSeed = 2005;
 
-EngineConfig probe_config(const ContextConfig& cfg, const TuneCandidate& c,
-                          std::size_t probe_b);
-
-u64 run_probe(const ContextConfig& cfg, const TuneCandidate& c,
-              std::size_t rows, std::size_t cols, std::size_t n,
-              std::size_t probe_b) {
-  Rng rng(kProbeSeed);
-  const EngineConfig ec = probe_config(cfg, c, probe_b);
-  switch (c.family) {
-    case TuneFamily::Dot: {
-      blas1::DotEngine engine(std::get<blas1::DotConfig>(ec));
-      return engine.run({rng.vector(cols)}, {rng.vector(cols)}).report.cycles;
-    }
-    case TuneFamily::GemvTree: {
-      blas2::MxvTreeEngine engine(std::get<blas2::MxvTreeConfig>(ec));
-      return engine.run(rng.matrix(rows, cols), rows, cols, rng.vector(cols))
-          .report.cycles;
-    }
-    case TuneFamily::GemvCol: {
-      blas2::MxvColEngine engine(std::get<blas2::MxvColConfig>(ec));
-      return engine.run(rng.matrix(rows, cols), rows, cols, rng.vector(cols))
-          .report.cycles;
-    }
-    case TuneFamily::Spmxv: {
-      blas2::SpmxvEngine engine(std::get<blas2::SpmxvConfig>(ec));
-      const auto sparse = blas2::make_uniform_sparse(
-          rows, cols, std::min<std::size_t>(cols, 8), 7);
-      return engine.run(sparse, rng.vector(cols)).report.cycles;
-    }
-    case TuneFamily::MmArray: {
-      blas3::MmArrayEngine engine(std::get<blas3::MmArrayConfig>(ec));
-      return engine.run(rng.matrix(n, n), rng.matrix(n, n), n).report.cycles;
-    }
-    case TuneFamily::MmHier: {
-      blas3::MmHierEngine engine(std::get<blas3::MmHierConfig>(ec));
-      return engine.run(rng.matrix(n, n), rng.matrix(n, n), n).report.cycles;
-    }
-    case TuneFamily::MmMulti: {
-      blas3::MmMultiEngine engine(std::get<blas3::MmMultiConfig>(ec));
-      return engine.run(rng.matrix(n, n), rng.matrix(n, n), n).report.cycles;
-    }
+/// Simulated cycles of one candidate on the probe shape: a plan with no
+/// schedule slot, run through the runtime's engine dispatch. GEMM designs
+/// run with the reduced panel edge `probe_b`.
+u64 run_probe(const ContextConfig& cfg, TuneCandidate c, std::size_t rows,
+              std::size_t cols, std::size_t n, std::size_t probe_b) {
+  if (c.family == TuneFamily::MmHier || c.family == TuneFamily::MmMulti) {
+    c.b = probe_b;
   }
-  return 0;
+  Plan plan;
+  plan.engine = design_config(cfg, c);
+  Rng rng(kProbeSeed);
+  std::vector<double> a, b, x;
+  blas2::CrsMatrix sparse;
+  OpDesc desc;
+  switch (c.family) {
+    case TuneFamily::Dot:
+      a = rng.vector(cols);
+      b = rng.vector(cols);
+      desc = OpDesc::dot(a, b);
+      break;
+    case TuneFamily::GemvTree:
+    case TuneFamily::GemvCol:
+      a = rng.matrix(rows, cols);
+      x = rng.vector(cols);
+      desc = OpDesc::gemv(a, rows, cols, x);
+      break;
+    case TuneFamily::Spmxv:
+      sparse = blas2::make_uniform_sparse(rows, cols,
+                                          std::min<std::size_t>(cols, 8), 7);
+      x = rng.vector(cols);
+      desc = OpDesc::spmxv(sparse, x);
+      break;
+    case TuneFamily::MmArray:
+    case TuneFamily::MmHier:
+    case TuneFamily::MmMulti:
+      a = rng.matrix(n, n);
+      b = rng.matrix(n, n);
+      desc = OpDesc::gemm(a, b, n);
+      break;
+  }
+  return Runtime::run_engine(plan, desc, nullptr).report.cycles;
 }
 
 /// Probe the top-N feasible candidates on one shrunken common shape and
@@ -405,121 +391,89 @@ void probe_top(TuneResult& tr, const ContextConfig& cfg, const PlanKey& key) {
   tr.ranked[win].chosen = true;
 }
 
-// ---- emitted engine configurations -----------------------------------------
-// These mirror the fixed path's derivations exactly (ContextConfig clocks and
-// bandwidths, candidate k/m/l/b), so a winner that matches the configured
-// design yields a bit-identical plan.
+// ---- the one emitter --------------------------------------------------------
+// ContextConfig clocks and bandwidths with the design's k/m/l/b, for the
+// configured design, the tuner's winner and every probe alike.
 
-blas1::DotConfig dot_config(const ContextConfig& cfg, unsigned k) {
-  blas1::DotConfig dc;
-  dc.k = k;
-  dc.adder_stages = cfg.adder_stages;
-  dc.multiplier_stages = cfg.multiplier_stages;
-  dc.mem_words_per_cycle =
-      words_per_cycle(cfg.dot_mem_bytes_per_s, cfg.dot_clock_mhz);
-  dc.clock_mhz = cfg.dot_clock_mhz;
-  return dc;
+/// The fields the reduction-circuit designs (dot, both GEMVs, SpMXV) share.
+template <typename Engine>
+Engine streaming_design(const ContextConfig& cfg, unsigned k,
+                        double clock_mhz) {
+  Engine e;
+  e.k = k;
+  e.adder_stages = cfg.adder_stages;
+  e.multiplier_stages = cfg.multiplier_stages;
+  e.clock_mhz = clock_mhz;
+  return e;
 }
 
-blas2::MxvTreeConfig tree_config(const ContextConfig& cfg, unsigned k) {
-  blas2::MxvTreeConfig tc;
-  tc.k = k;
-  tc.adder_stages = cfg.adder_stages;
-  tc.multiplier_stages = cfg.multiplier_stages;
-  tc.mem_words_per_cycle = static_cast<double>(k);  // 1 word/bank
-  tc.clock_mhz = cfg.gemv_clock_mhz;
-  return tc;
-}
-
-blas2::MxvColConfig col_config(const ContextConfig& cfg, unsigned k) {
-  blas2::MxvColConfig cc;
-  cc.k = k;
-  cc.adder_stages = cfg.adder_stages;
-  cc.multiplier_stages = cfg.multiplier_stages;
-  cc.mem_words_per_cycle = static_cast<double>(k) + 1.0;
-  cc.clock_mhz = cfg.gemv_clock_mhz;
-  return cc;
-}
-
-blas2::SpmxvConfig spmxv_config(const ContextConfig& cfg, unsigned k) {
-  blas2::SpmxvConfig sc;
-  sc.k = k;
-  sc.adder_stages = cfg.adder_stages;
-  sc.multiplier_stages = cfg.multiplier_stages;
-  sc.mem_elements_per_cycle = static_cast<double>(k) / 2.0;
-  sc.clock_mhz = cfg.gemv_clock_mhz;
-  return sc;
-}
-
-blas3::MmArrayConfig array_config(const ContextConfig& cfg, unsigned k,
-                                  unsigned m) {
-  blas3::MmArrayConfig mc;
-  mc.k = k;
-  mc.m = m;
-  mc.adder_stages = cfg.mm_adder_stages;
-  mc.multiplier_stages = cfg.multiplier_stages;
-  mc.mem_words_per_cycle = 4.0;  // four SRAM banks feed the array (fixed path)
-  mc.clock_mhz = cfg.mm_clock_mhz;
-  return mc;
-}
-
-blas3::MmHierConfig hier_config(const ContextConfig& cfg, unsigned k,
-                                unsigned m, unsigned l, std::size_t b) {
-  blas3::MmHierConfig hc;
-  hc.l = l;
-  hc.k = k;
-  hc.m = m;
-  hc.b = b;
-  hc.adder_stages = cfg.mm_adder_stages;
-  hc.multiplier_stages = cfg.multiplier_stages;
-  hc.clock_mhz = cfg.mm_clock_mhz;
-  hc.dram_words_per_cycle =
+/// The fields the SRAM-panel GEMM designs (hierarchical, multi-FPGA) share.
+template <typename Engine>
+Engine panel_design(const ContextConfig& cfg, const TuneCandidate& c) {
+  Engine e;
+  e.l = c.l;
+  e.k = c.k;
+  e.m = c.m;
+  e.b = c.b;
+  e.clock_mhz = cfg.mm_clock_mhz;
+  e.dram_words_per_cycle =
       words_per_cycle(cfg.mm_dram_bytes_per_s, cfg.mm_clock_mhz);
-  hc.link_words_per_cycle =
+  e.link_words_per_cycle =
       words_per_cycle(cfg.mm_link_bytes_per_s, cfg.mm_clock_mhz);
-  return hc;
-}
-
-blas3::MmMultiConfig multi_config(const ContextConfig& cfg, unsigned k,
-                                  unsigned m, unsigned l, std::size_t b) {
-  blas3::MmMultiConfig mc;
-  mc.l = l;
-  mc.k = k;
-  mc.m = m;
-  mc.b = b;
-  mc.clock_mhz = cfg.mm_clock_mhz;
-  mc.dram_words_per_cycle =
-      words_per_cycle(cfg.mm_dram_bytes_per_s, cfg.mm_clock_mhz);
-  mc.link_words_per_cycle =
-      words_per_cycle(cfg.mm_link_bytes_per_s, cfg.mm_clock_mhz);
-  return mc;
-}
-
-EngineConfig winner_config(const ContextConfig& cfg, const TuneCandidate& c) {
-  switch (c.family) {
-    case TuneFamily::Dot: return dot_config(cfg, c.k);
-    case TuneFamily::GemvTree: return tree_config(cfg, c.k);
-    case TuneFamily::GemvCol: return col_config(cfg, c.k);
-    case TuneFamily::Spmxv: return spmxv_config(cfg, c.k);
-    case TuneFamily::MmArray: return array_config(cfg, c.k, c.m);
-    case TuneFamily::MmHier: return hier_config(cfg, c.k, c.m, c.l, c.b);
-    case TuneFamily::MmMulti: return multi_config(cfg, c.k, c.m, c.l, c.b);
-  }
-  return blas1::DotConfig{};
-}
-
-EngineConfig probe_config(const ContextConfig& cfg, const TuneCandidate& c,
-                          std::size_t probe_b) {
-  if (c.family == TuneFamily::MmHier) {
-    return hier_config(cfg, c.k, c.m, c.l, probe_b);
-  }
-  if (c.family == TuneFamily::MmMulti) {
-    return multi_config(cfg, c.k, c.m, c.l, probe_b);
-  }
-  return winner_config(cfg, c);
+  return e;
 }
 
 }  // namespace
+
+EngineConfig design_config(const ContextConfig& cfg, const TuneCandidate& c) {
+  switch (c.family) {
+    case TuneFamily::Dot: {
+      auto e = streaming_design<blas1::DotConfig>(cfg, c.k, cfg.dot_clock_mhz);
+      e.mem_words_per_cycle =
+          words_per_cycle(cfg.dot_mem_bytes_per_s, cfg.dot_clock_mhz);
+      return e;
+    }
+    case TuneFamily::GemvTree: {
+      auto e =
+          streaming_design<blas2::MxvTreeConfig>(cfg, c.k, cfg.gemv_clock_mhz);
+      e.mem_words_per_cycle = static_cast<double>(c.k);  // 1 word/bank
+      return e;
+    }
+    case TuneFamily::GemvCol: {
+      auto e =
+          streaming_design<blas2::MxvColConfig>(cfg, c.k, cfg.gemv_clock_mhz);
+      e.mem_words_per_cycle = static_cast<double>(c.k) + 1.0;  // + broadcast x
+      return e;
+    }
+    case TuneFamily::Spmxv: {
+      auto e =
+          streaming_design<blas2::SpmxvConfig>(cfg, c.k, cfg.gemv_clock_mhz);
+      // Value + index pairs: two SRAM banks feed one CRS element per cycle
+      // pair.
+      e.mem_elements_per_cycle = static_cast<double>(c.k) / 2.0;
+      return e;
+    }
+    case TuneFamily::MmArray: {
+      blas3::MmArrayConfig e;
+      e.k = c.k;
+      e.m = c.m;
+      e.adder_stages = cfg.mm_adder_stages;
+      e.multiplier_stages = cfg.multiplier_stages;
+      e.mem_words_per_cycle = 4.0;  // four SRAM banks feed the array
+      e.clock_mhz = cfg.mm_clock_mhz;
+      return e;
+    }
+    case TuneFamily::MmHier: {
+      auto e = panel_design<blas3::MmHierConfig>(cfg, c);
+      e.adder_stages = cfg.mm_adder_stages;
+      e.multiplier_stages = cfg.multiplier_stages;
+      return e;
+    }
+    case TuneFamily::MmMulti:
+      return panel_design<blas3::MmMultiConfig>(cfg, c);
+  }
+  return blas1::DotConfig{};
+}
 
 const char* tune_family_name(TuneFamily f) {
   switch (f) {
@@ -611,7 +565,7 @@ TuneResult tune_op(const ContextConfig& cfg, const PlanKey& key) {
       break;
     case OpKind::GemmMulti:
       // An explicit multi-FPGA request works at any l, including l = 1
-      // (the fixed path builds that too).
+      // (the configured design may be that too).
       add_gemm(tr.ranked, cfg, area, key.n, false, false, true, 1);
       break;
   }
@@ -661,67 +615,6 @@ TuneResult tune_op(const ContextConfig& cfg, const PlanKey& key) {
 
   if (key.tune == TunePolicy::Probe) probe_top(tr, cfg, key);
   return tr;
-}
-
-Plan build_tuned_plan(const ContextConfig& cfg, const PlanKey& key) {
-  TuneResult tr = tune_op(cfg, key);
-  const TuneCandidate* win = tr.winner();
-  if (!win) {
-    std::string reasons;
-    for (const TuneCandidate& c : tr.ranked) {
-      reasons += cat("\n  ", c.name(), ": ", c.why_not);
-    }
-    throw ConfigError(cat("tuner: no feasible design for ",
-                          op_kind_name(key.kind), reasons));
-  }
-
-  Plan plan;
-  plan.key = key;
-  plan.engine = winner_config(cfg, *win);
-  plan.panel_edge = win->b;
-  plan.tune.tuned = true;
-  plan.tune.candidates = tr.considered;
-  plan.tune.pruned = tr.pruned;
-  plan.tune.probed = tr.probed;
-  plan.tune.probe_cycles = tr.probe_cycles;
-  plan.tune.chosen = engine_signature(plan.engine);
-
-  // Staging, capacity and fallback decisions replicate the fixed path: the
-  // DRAM link belongs to the machine, not the chosen design.
-  switch (key.kind) {
-    case OpKind::Dot:
-      if (key.placement == Placement::Dram) {
-        const double wpc =
-            words_per_cycle(cfg.gemv_dram_bytes_per_s, cfg.dot_clock_mhz);
-        plan.dram_words = static_cast<double>(2 * key.cols);
-        plan.staging_cycles =
-            static_cast<u64>(std::ceil(plan.dram_words / wpc));
-      }
-      break;
-    case OpKind::Gemv:
-      if (key.placement == Placement::Dram) {
-        const double wpc =
-            words_per_cycle(cfg.gemv_dram_bytes_per_s, cfg.gemv_clock_mhz);
-        plan.dram_words = static_cast<double>(key.rows * key.cols + key.rows);
-        plan.staging_cycles =
-            static_cast<u64>(std::ceil(plan.dram_words / wpc));
-      }
-      break;
-    case OpKind::GemvAuto:
-      plan.onchip_capacity = gemv_onchip_x_capacity(cfg);
-      require(plan.onchip_capacity > 0,
-              "device has no on-chip memory left for x");
-      plan.blocked_gemv = key.cols > plan.onchip_capacity;
-      break;
-    case OpKind::Spmxv:
-      plan.onchip_capacity = gemv_onchip_x_capacity(cfg);
-      require(key.cols <= plan.onchip_capacity,
-              "SpMXV: x does not fit the device's on-chip memory");
-      break;
-    default:
-      break;
-  }
-  return plan;
 }
 
 std::string engine_signature(const EngineConfig& engine) {

@@ -3,13 +3,15 @@
 // enumerate the legal candidate designs (engine family x k x m x l x panel
 // edge), prune them against the machine::AreaModel slice/BRAM/bank budgets,
 // rank the survivors with the src/model analytic latency formulas, and emit
-// the winner as the plan's engine configuration.
+// the winner as the plan's design.
 //
-// Ranking uses each candidate's post-P&R clock from the area model; the
-// emitted engine configuration keeps the ContextConfig clocks and bandwidth
-// derivations of the fixed path, so a tuner that lands on the configured
-// design produces a bit-identical plan (values AND cycles) to
-// TunePolicy::Fixed — the property the fuzz harness pins.
+// Ranking uses each candidate's post-P&R clock from the area model. The
+// plan itself is built by build_plan() (host/plan.hpp), the one builder
+// for every policy: the configured design under TunePolicy::Fixed and the
+// tuner's winner go through the same emitter (design_config, which keeps
+// the ContextConfig clocks and bandwidths) and the same staging step, so a
+// tuned plan that lands on the configured design is identical (values AND
+// cycles) to the Fixed one by construction.
 //
 // Near-ties (within cfg.tune_tie_fraction of the best modeled latency) are
 // broken by slice count, then by a cycle-accuracy preference — reproducing
@@ -19,7 +21,8 @@
 //
 // TunePolicy::Probe additionally reruns the top-N survivors through short
 // deterministic simulator probes on a shrunken common shape and picks the
-// winner from the probed subset.
+// winner from the probed subset. A probe is a plan with no schedule slot
+// run through the runtime's engine dispatch (Runtime::run_engine).
 #pragma once
 
 #include <string>
@@ -95,10 +98,12 @@ struct TuneResult {
 /// shared state, so concurrent plan builds can tune independently.
 TuneResult tune_op(const ContextConfig& cfg, const PlanKey& key);
 
-/// Build a plan whose engine configuration is the tuner's winner. Called by
-/// build_plan for keys with tune != TunePolicy::Fixed; throws ConfigError
-/// when no candidate survives pruning.
-Plan build_tuned_plan(const ContextConfig& cfg, const PlanKey& key);
+/// The one emitter: the engine configuration of a design's family, k, m, l
+/// and b, with the ContextConfig clocks, pipeline depths and bandwidths.
+/// build_plan emits the configured design and the tuner's winner through
+/// it, and every probe runs what it emits.
+EngineConfig design_config(const ContextConfig& cfg,
+                           const TuneCandidate& design);
 
 /// The value-affecting parameters of an engine configuration as a short
 /// string ("gemv-tree k=4", "mm-hier l=1 k=8 m=8 b=512"). Two plans with

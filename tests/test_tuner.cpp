@@ -320,12 +320,11 @@ TEST(Tuner, ProbePolicyIsDeterministicAndCountsProbes) {
 }
 
 TEST(Tuner, NoFeasibleDesignThrowsConfigError) {
-  // n = 0 GEMM is rejected by the fixed path (no panel edge tiles it); the
-  // tuned path must agree rather than emit a degenerate winner.
+  // n = 0 GEMM has no feasible candidate: the tuned plan must be refused
+  // rather than emit a degenerate winner.
   const ContextConfig cfg;
   EXPECT_THROW(
-      host::build_tuned_plan(cfg,
-                             key_for(OpKind::Gemm, 0, 0, 0, TunePolicy::Model)),
+      host::build_plan(cfg, key_for(OpKind::Gemm, 0, 0, 0, TunePolicy::Model)),
       ConfigError);
 }
 
