@@ -74,12 +74,14 @@ int main() {
 
   // --- Table 3 ------------------------------------------------------------
   {
-    host::Context ctx;
-    const auto d = ctx.dot(rng.vector(2048), rng.vector(2048));
+    host::Runtime rt{host::ContextConfig{}};
+    const auto d =
+        rt.run(host::OpDesc::dot(rng.vector(2048), rng.vector(2048)));
     check("T3: dot sustained >= 80% of peak (ratio/0.8)", 1.0,
           d.report.sustained_mflops() / 687.5 >= 0.80 ? 1.0 : 0.0, 0);
     const std::size_t n = 512;
-    const auto g = ctx.gemv(rng.matrix(n, n), n, n, rng.vector(n));
+    const auto g =
+        rt.run(host::OpDesc::gemv(rng.matrix(n, n), n, n, rng.vector(n)));
     check("T3: gemv flops/cycle ~ 2k = 8", 8.0, g.report.flops_per_cycle(), 0.05);
   }
 

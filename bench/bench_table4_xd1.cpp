@@ -14,15 +14,17 @@
 #include "blas3/mm_hier.hpp"
 #include "blas3/mm_on_node.hpp"
 #include "common/random.hpp"
-#include "host/context.hpp"
+#include "host/config.hpp"
 #include "host/reference.hpp"
+#include "machine/area.hpp"
 #include "model/perf_model.hpp"
 
 using namespace xd;
 
 int main() {
   Rng rng(4);
-  host::Context ctx;
+  const host::ContextConfig cfg;
+  const machine::AreaModel area;
   const auto vp50 = machine::xc2vp50();
 
   // ----------------------------------------------------------- Level 2 ----
@@ -43,7 +45,7 @@ int main() {
   const auto from_sram = eng_sram.run(a2, n2, n2, x2, /*from_dram=*/false);
   const auto ref2 = host::ref_gemv(a2, n2, n2, x2);
   const double err2 = host::max_abs_diff(from_dram.y, ref2);
-  const auto gemv_area = ctx.gemv_design_area();
+  const auto gemv_area = area.mxv_design_xd1(cfg.gemv_k);
 
   const double gemv_dram_peak = model::gemv_peak_flops(1.3 * kGB);
 
@@ -107,8 +109,8 @@ int main() {
       3.2 * kGB / (kWordBytes * hc.clock_mhz * 1e6);  // XD1 RapidArray
   blas3::MmHierEngine hier(hc);
   const auto m512 = hier.project(512);
-  const double mm_peak = model::mm_device_peak_flops(vp50, machine::AreaModel{}.cores());
-  const auto mm_area = ctx.gemm_design_area();
+  const double mm_peak = model::mm_device_peak_flops(vp50, area.cores());
+  const auto mm_area = area.mm_design_xd1(cfg.mm_k);
 
   bench::heading("Table 4, Level 3: GEMM on one XD1 FPGA (k = 8, m = 8, b = 512)");
   TextTable t3({"Metric", "Measured", "Paper"});

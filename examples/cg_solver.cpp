@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "common/random.hpp"
-#include "host/context.hpp"
+#include "host/runtime.hpp"
 #include "host/reference.hpp"
 
 using namespace xd;
@@ -38,25 +38,25 @@ int main(int argc, char** argv) {
   const auto x_true = rng.vector(n);
   const auto b = host::ref_gemv(a, n, n, x_true);
 
-  host::Context ctx;
+  host::Runtime rt(host::ContextConfig{});
   u64 fpga_cycles = 0, fpga_flops = 0;
   double clock_mhz = 164.0;
 
   auto fpga_gemv = [&](const std::vector<double>& v) {
-    auto out = ctx.gemv(a, n, n, v);
+    auto out = rt.run(host::OpDesc::gemv(a, n, n, v));
     fpga_cycles += out.report.cycles;
     fpga_flops += out.report.flops;
     clock_mhz = out.report.clock_mhz;
-    return out.y;
+    return out.values;
   };
   auto fpga_dot = [&](const std::vector<double>& u, const std::vector<double>& v) {
-    auto out = ctx.dot(u, v);
+    auto out = rt.run(host::OpDesc::dot(u, v));
     // Convert dot cycles (170 MHz design) into GEMV-clock cycles so the
     // aggregate time uses one clock domain.
     fpga_cycles += static_cast<u64>(static_cast<double>(out.report.cycles) *
                                     clock_mhz / out.report.clock_mhz);
     fpga_flops += out.report.flops;
-    return out.value;
+    return out.values[0];
   };
 
   std::vector<double> x(n, 0.0);

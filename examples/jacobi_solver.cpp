@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "common/random.hpp"
-#include "host/context.hpp"
+#include "host/runtime.hpp"
 #include "host/reference.hpp"
 
 using namespace xd;
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     r[i * n + i] = 0.0;
   }
 
-  host::Context ctx;
+  host::Runtime rt(host::ContextConfig{});
   std::vector<double> x(n, 0.0);
   u64 fpga_cycles = 0;
   u64 fpga_flops = 0;
@@ -69,11 +69,11 @@ int main(int argc, char** argv) {
   for (; iters < max_iters; ++iters) {
     // R x on the FPGA (Level 2 BLAS); the diagonal solve stays on the host,
     // exactly the processor/FPGA split the reconfigurable systems use.
-    const auto rx = ctx.gemv(r, n, n, x);
+    const auto rx = rt.run(host::OpDesc::gemv(r, n, n, x));
     fpga_cycles += rx.report.cycles;
     fpga_flops += rx.report.flops;
     clock_mhz = rx.report.clock_mhz;
-    for (std::size_t i = 0; i < n; ++i) x[i] = (b[i] - rx.y[i]) / diag[i];
+    for (std::size_t i = 0; i < n; ++i) x[i] = (b[i] - rx.values[i]) / diag[i];
 
     const double res = residual_norm(a, n, x, b);
     if (iters % 5 == 0 || res < 1e-10) std::printf("%6d  %14.6e\n", iters, res);

@@ -1,16 +1,16 @@
 // Quickstart: the three BLAS operations through the public xdblas API.
 //
-// A Context models one Cray XD1 node (Xilinx XC2VP50 + 4 SRAM banks + DRAM
-// over RapidArray) running the paper's designs: every call computes the real
-// numerics through the simulated FPGA datapath and returns a performance
-// report in the paper's terms (cycles, achievable clock, sustained MFLOPS,
-// bandwidths).
+// A Runtime models one Cray XD1 node (Xilinx XC2VP50 + 4 SRAM banks + DRAM
+// over RapidArray) running the paper's designs: every run(OpDesc) computes
+// the real numerics through the simulated FPGA datapath and returns an
+// Outcome — the values plus a performance report in the paper's terms
+// (cycles, achievable clock, sustained MFLOPS, bandwidths).
 //
 //   ./examples/quickstart
 #include <cstdio>
 
 #include "common/random.hpp"
-#include "host/context.hpp"
+#include "host/runtime.hpp"
 #include "host/reference.hpp"
 
 using namespace xd;
@@ -37,14 +37,14 @@ void print_report(const host::PerfReport& r) {
 
 int main() {
   Rng rng(2005);
-  host::Context ctx;  // one XD1 node, paper-default designs
+  host::Runtime rt(host::ContextConfig{});  // one XD1 node, paper designs
 
   // ---- Level 1: dot product (k = 2 multipliers, reduction circuit) ----
   std::printf("Level 1: dot product, n = 4096\n");
   const auto u = rng.vector(4096);
   const auto v = rng.vector(4096);
-  const auto d = ctx.dot(u, v);
-  std::printf("  result            : %.12f (reference %.12f)\n", d.value,
+  const auto d = rt.run(host::OpDesc::dot(u, v));
+  std::printf("  result            : %.12f (reference %.12f)\n", d.values[0],
               host::ref_dot(u, v));
   print_report(d.report);
 
@@ -53,26 +53,26 @@ int main() {
   const std::size_t n = 512;
   const auto a = rng.matrix(n, n);
   const auto x = rng.vector(n);
-  const auto y = ctx.gemv(a, n, n, x);
+  const auto y = rt.run(host::OpDesc::gemv(a, n, n, x));
   std::printf("  max |y - y_ref|   : %.3e\n",
-              host::max_abs_diff(y.y, host::ref_gemv(a, n, n, x)));
+              host::max_abs_diff(y.values, host::ref_gemv(a, n, n, x)));
   print_report(y.report);
 
   std::printf("Level 2 again, but A starts in processor DRAM\n");
-  const auto y2 = ctx.gemv(a, n, n, x, host::Placement::Dram);
+  const auto y2 = rt.run(host::OpDesc::gemv(a, n, n, x, host::Placement::Dram));
   print_report(y2.report);
 
   // ---- Level 3: GEMM (linear PE array + SRAM blocking) ----
   std::printf("Level 3: C = A B, n = 128 (k = 8 PEs, m = 8, b = 64)\n");
   host::ContextConfig cfg;
   cfg.mm_b = 64;
-  host::Context ctx3(cfg);
+  host::Runtime rt3(cfg);
   const std::size_t n3 = 128;
   const auto A = rng.matrix(n3, n3);
   const auto B = rng.matrix(n3, n3);
-  const auto C = ctx3.gemm(A, B, n3);
+  const auto C = rt3.run(host::OpDesc::gemm(A, B, n3));
   std::printf("  max |C - C_ref|   : %.3e\n",
-              host::max_abs_diff(C.c, host::ref_gemm(A, B, n3)));
+              host::max_abs_diff(C.values, host::ref_gemm(A, B, n3)));
   print_report(C.report);
 
   std::printf("Done. See DESIGN.md for the architecture map and\n"

@@ -54,9 +54,9 @@ double compat_ddot(const Context& ctx, std::size_t n, const double* x, int incx,
   if (n == 0) return 0.0;
   const auto xv = gather(n, x, incx);
   const auto yv = gather(n, y, incy);
-  const auto out = ctx.dot(xv, yv);
+  const auto out = ctx.runtime().run(OpDesc::dot(xv, yv));
   if (report) *report = out.report;
-  return out.value;
+  return out.values.front();
 }
 
 void compat_dgemv(const Context& ctx, Transpose trans, std::size_t m,
@@ -74,9 +74,9 @@ void compat_dgemv(const Context& ctx, Transpose trans, std::size_t m,
   // op(A) materializes host-side; the streaming product runs on the FPGA.
   const auto op_a = materialize(trans, rows, cols, a, lda);
   const auto xv = gather(cols, x, incx);
-  const auto out = ctx.gemv(op_a, rows, cols, xv);
+  const auto out = ctx.runtime().run(OpDesc::gemv(op_a, rows, cols, xv));
   if (report) *report = out.report;
-  scatter_axpby(rows, out.y, alpha, beta, y, incy);
+  scatter_axpby(rows, out.values, alpha, beta, y, incy);
 }
 
 void compat_dgemm(const Context& ctx, Transpose transa, Transpose transb,
@@ -112,13 +112,12 @@ void compat_dgemm(const Context& ctx, Transpose transa, Transpose transb,
 
   ContextConfig padded_cfg = cfg;
   padded_cfg.mm_b = N;  // one SRAM panel covers the padded problem
-  Context padded_ctx(padded_cfg);
-  const auto out = padded_ctx.gemm(pa, pb, N);
+  const auto out = Runtime(padded_cfg).run(OpDesc::gemm(pa, pb, N));
   if (report) *report = out.report;
 
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      c[i * ldc + j] = alpha * out.c[i * N + j] + beta * c[i * ldc + j];
+      c[i * ldc + j] = alpha * out.values[i * N + j] + beta * c[i * ldc + j];
     }
   }
 }

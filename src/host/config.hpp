@@ -1,10 +1,15 @@
 // Machine/design configuration for the host layer.
 //
-// Split out of context.hpp so the op / plan / runtime tiers can consume the
-// configuration without pulling in the Context facade: op.hpp needs
-// Placement/GemvArch for OpDesc, plan.hpp derives engine configurations
-// from ContextConfig, runtime.hpp executes against it, and context.hpp
-// re-exports everything for existing users.
+// One ContextConfig describes the machine and the configured designs; every
+// op runs against it through host::Runtime:
+//
+//   host::ContextConfig cfg;                 // one XD1 node, paper designs
+//   cfg.mm_b = 64;                           // tune a design knob
+//   host::Runtime rt(cfg);
+//   host::Outcome out = rt.run(host::OpDesc::gemm(a, b, n));
+//
+// op.hpp needs Placement/GemvArch for OpDesc, plan.hpp derives engine
+// configurations from ContextConfig, and runtime.hpp executes against it.
 #pragma once
 
 #include <cstddef>
@@ -73,7 +78,7 @@ struct ContextConfig {
   /// reported total. Null (the default) disables all recording.
   ///
   /// Thread-safety: a session shared across threads is synchronized through
-  /// Session::lock(). Synchronous calls (Context, Runtime::run) record
+  /// Session::lock(). Synchronous calls (Runtime::run) record
   /// directly under the lock on span lane 0; asynchronously submitted jobs
   /// record into thread-local shards merged in at completion on per-worker
   /// lanes, and every op lands a TraceContext in the session's flight

@@ -1,84 +1,8 @@
 #include "host/context.hpp"
 
-#include "host/plan.hpp"
-
 namespace xd::host {
 
 Context::Context(const ContextConfig& cfg)
     : cfg_(cfg), runtime_(std::make_unique<Runtime>(cfg)) {}
-
-DotResult Context::dot(const std::vector<double>& u,
-                       const std::vector<double>& v, Placement src) const {
-  return runtime_->run(OpDesc::dot(u, v, src)).as_dot();
-}
-
-blas1::DotOutcome Context::dot_batch(
-    const std::vector<std::vector<double>>& us,
-    const std::vector<std::vector<double>>& vs) const {
-  return runtime_->run(OpDesc::dot_batch(us, vs)).as_dot_batch();
-}
-
-blas2::MxvOutcome Context::gemv(const std::vector<double>& a, std::size_t rows,
-                                std::size_t cols, const std::vector<double>& x,
-                                Placement src, GemvArch arch) const {
-  return runtime_->run(OpDesc::gemv(a, rows, cols, x, src, arch)).as_mxv();
-}
-
-blas2::MxvOutcome Context::spmxv(const blas2::CrsMatrix& a,
-                                 const std::vector<double>& x) const {
-  return runtime_->run(OpDesc::spmxv(a, x)).as_mxv();
-}
-
-std::size_t Context::choose_panel_edge(std::size_t n) const {
-  return host::choose_panel_edge(cfg_, n);
-}
-
-blas3::MmHierOutcome Context::gemm(const std::vector<double>& a,
-                                   const std::vector<double>& b,
-                                   std::size_t n) const {
-  return runtime_->run(OpDesc::gemm(a, b, n)).as_mm_hier();
-}
-
-blas3::MmOutcome Context::gemm_array(const std::vector<double>& a,
-                                     const std::vector<double>& b,
-                                     std::size_t n) const {
-  return runtime_->run(OpDesc::gemm_array(a, b, n)).as_mm();
-}
-
-blas3::MmMultiOutcome Context::gemm_multi(const std::vector<double>& a,
-                                          const std::vector<double>& b,
-                                          std::size_t n) const {
-  return runtime_->run(OpDesc::gemm_multi(a, b, n)).as_mm_multi();
-}
-
-mem::BramBudget Context::gemv_bram_plan(std::size_t cols) const {
-  return host::gemv_bram_plan(cfg_, cols);
-}
-
-mem::BramBudget Context::gemm_bram_plan() const {
-  return host::gemm_bram_plan(cfg_);
-}
-
-std::size_t Context::gemv_onchip_x_capacity() const {
-  return host::gemv_onchip_x_capacity(cfg_);
-}
-
-blas2::MxvOutcome Context::gemv_auto(const std::vector<double>& a,
-                                     std::size_t rows, std::size_t cols,
-                                     const std::vector<double>& x) const {
-  return runtime_->run(OpDesc::gemv_auto(a, rows, cols, x)).as_mxv();
-}
-
-machine::DesignArea Context::dot_design_area() const {
-  return area_.dot_design(cfg_.dot_k);
-}
-
-machine::DesignArea Context::gemv_design_area() const {
-  return area_.mxv_design_xd1(cfg_.gemv_k);
-}
-
-machine::DesignArea Context::gemm_design_area() const {
-  return area_.mm_design_xd1(cfg_.mm_k);
-}
 
 }  // namespace xd::host

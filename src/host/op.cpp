@@ -76,103 +76,6 @@ bool gemv_arch_from_name(std::string_view name, GemvArch& out) {
   return false;
 }
 
-DotResult Outcome::as_dot() const {
-  require(!values.empty(), "Outcome: no dot value");
-  DotResult r;
-  r.value = values.front();
-  r.report = report;
-  return r;
-}
-
-blas1::DotOutcome Outcome::as_dot_batch() && {
-  blas1::DotOutcome o;
-  o.results = std::move(values);
-  o.report = std::move(report);
-  return o;
-}
-
-blas2::MxvOutcome Outcome::as_mxv() && {
-  blas2::MxvOutcome o;
-  o.y = std::move(values);
-  o.report = std::move(report);
-  return o;
-}
-
-blas3::MmOutcome Outcome::as_mm() && {
-  blas3::MmOutcome o;
-  o.c = std::move(values);
-  o.report = std::move(report);
-  return o;
-}
-
-blas3::MmHierOutcome Outcome::as_mm_hier() && {
-  blas3::MmHierOutcome o;
-  o.c = std::move(values);
-  o.report = std::move(report);
-  o.required_dram_words_per_cycle = required_dram_words_per_cycle;
-  o.required_link_words_per_cycle = required_link_words_per_cycle;
-  o.required_sram_words_per_cycle = required_sram_words_per_cycle;
-  o.sram_panel_words = sram_panel_words;
-  return o;
-}
-
-blas3::MmMultiOutcome Outcome::as_mm_multi() && {
-  blas3::MmMultiOutcome o;
-  o.c = std::move(values);
-  o.report = std::move(report);
-  o.per_fpga = std::move(per_fpga);
-  o.dram_words = dram_words;
-  o.link_words = link_words;
-  return o;
-}
-
-Outcome to_outcome(blas1::DotOutcome&& o, OpKind kind) {
-  Outcome out;
-  out.kind = kind;
-  out.values = std::move(o.results);
-  out.report = std::move(o.report);
-  return out;
-}
-
-Outcome to_outcome(blas2::MxvOutcome&& o, OpKind kind) {
-  Outcome out;
-  out.kind = kind;
-  out.values = std::move(o.y);
-  out.report = std::move(o.report);
-  return out;
-}
-
-Outcome to_outcome(blas3::MmOutcome&& o) {
-  Outcome out;
-  out.kind = OpKind::GemmArray;
-  out.values = std::move(o.c);
-  out.report = std::move(o.report);
-  return out;
-}
-
-Outcome to_outcome(blas3::MmHierOutcome&& o) {
-  Outcome out;
-  out.kind = OpKind::Gemm;
-  out.values = std::move(o.c);
-  out.report = std::move(o.report);
-  out.required_dram_words_per_cycle = o.required_dram_words_per_cycle;
-  out.required_link_words_per_cycle = o.required_link_words_per_cycle;
-  out.required_sram_words_per_cycle = o.required_sram_words_per_cycle;
-  out.sram_panel_words = o.sram_panel_words;
-  return out;
-}
-
-Outcome to_outcome(blas3::MmMultiOutcome&& o) {
-  Outcome out;
-  out.kind = OpKind::GemmMulti;
-  out.values = std::move(o.c);
-  out.report = std::move(o.report);
-  out.per_fpga = std::move(o.per_fpga);
-  out.dram_words = o.dram_words;
-  out.link_words = o.link_words;
-  return out;
-}
-
 OpDesc OpDesc::dot(const std::vector<double>& u, const std::vector<double>& v,
                    Placement src) {
   OpDesc d;

@@ -2,11 +2,15 @@
 //
 // Every operation the library implements is described by one OpDesc (op
 // kind, shapes, placement, architecture choice, pointers to the operands)
-// and produces one Outcome (result values + PerfReport + the op-specific
-// extras). The six engines keep their native outcome structs — those are
-// the per-op data — and are adapted into the unified type by the
-// to_outcome() overloads; the thin as_*() accessors convert back, so the
-// Context facade preserves today's return types exactly.
+// and runs through host::Runtime::run (or submit) into one Outcome: the
+// result values and the PerfReport.
+//
+//   host::Runtime rt(cfg);
+//   const host::Outcome out = rt.run(host::OpDesc::gemv(a, n, n, x));
+//   // out.values is y, out.report the cycles, clock and traffic
+//
+// The engines keep their native outcome structs (with engine-specific
+// extras such as per-FPGA stats); the runtime keeps only values and report.
 //
 // OpDesc does not own its operands: the caller keeps the vectors alive
 // until the operation's Outcome (or future) has been consumed. The
@@ -17,13 +21,9 @@
 #include <string_view>
 #include <vector>
 
-#include "blas1/dot_engine.hpp"
-#include "blas2/mxv_tree.hpp"
 #include "blas2/spmxv.hpp"
-#include "blas3/mm_array.hpp"
-#include "blas3/mm_hier.hpp"
-#include "blas3/mm_multi.hpp"
 #include "host/config.hpp"
+#include "host/report.hpp"
 
 namespace xd::host {
 
@@ -48,47 +48,13 @@ bool op_kind_from_name(std::string_view name, OpKind& out);
 bool placement_from_name(std::string_view name, Placement& out);
 bool gemv_arch_from_name(std::string_view name, GemvArch& out);
 
-/// Result of a single dot product.
-struct DotResult {
-  double value = 0.0;
-  PerfReport report;
-};
-
-/// The one outcome type every engine run is adapted into. `values` holds
-/// the numeric payload (the dot results, y, or row-major C); op-specific
-/// extras keep their engine-native meaning and are defaulted elsewhere.
+/// The one outcome type every engine run produces. `values` holds the
+/// numeric payload: the dot results, y, or row-major C.
 struct Outcome {
   OpKind kind = OpKind::Dot;
   std::vector<double> values;
   PerfReport report;
-
-  // GemmMulti extras (see blas3::MmMultiOutcome).
-  std::vector<blas3::FpgaStats> per_fpga;
-  double dram_words = 0.0;
-  double link_words = 0.0;
-
-  // Gemm (hierarchical) model extras (see blas3::MmHierOutcome).
-  double required_dram_words_per_cycle = 0.0;
-  double required_link_words_per_cycle = 0.0;
-  double required_sram_words_per_cycle = 0.0;
-  double sram_panel_words = 0.0;
-
-  // Thin per-op accessors: today's return types, rebuilt from the unified
-  // fields. The &&-qualified ones move the payload out.
-  DotResult as_dot() const;
-  blas1::DotOutcome as_dot_batch() &&;
-  blas2::MxvOutcome as_mxv() &&;
-  blas3::MmOutcome as_mm() &&;
-  blas3::MmHierOutcome as_mm_hier() &&;
-  blas3::MmMultiOutcome as_mm_multi() &&;
 };
-
-// Adapters: the engines' native outcomes -> the unified Outcome.
-Outcome to_outcome(blas1::DotOutcome&& o, OpKind kind = OpKind::DotBatch);
-Outcome to_outcome(blas2::MxvOutcome&& o, OpKind kind = OpKind::Gemv);
-Outcome to_outcome(blas3::MmOutcome&& o);
-Outcome to_outcome(blas3::MmHierOutcome&& o);
-Outcome to_outcome(blas3::MmMultiOutcome&& o);
 
 /// One operation, fully described. Build with the factories; shapes live
 /// here (they key the plan cache), operands stay caller-owned.

@@ -10,12 +10,11 @@ namespace xd::host {
 
 namespace {
 
-/// BRAM the reduction-circuit designs (dot, tree GEMV, SpMXV) hold besides
-/// their x store: the two alpha^2 reduction buffers and the staging FIFOs.
+/// The two alpha^2 reduction buffers the reduction-circuit designs (dot,
+/// tree GEMV, SpMXV) hold besides their staging FIFOs and x store.
 u64 alpha_buffer_words(const ContextConfig& cfg) {
   return 2ull * cfg.adder_stages * cfg.adder_stages;
 }
-constexpr u64 kStagingFifoWords = 128;
 
 void hash_combine(std::size_t& seed, std::size_t v) {
   seed ^= v + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2);

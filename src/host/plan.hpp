@@ -12,7 +12,7 @@
 // cached hit skips validation, configuration and floorplanning entirely.
 //
 // PlanCache is a bounded, mutex-guarded LRU keyed by PlanKey; it is shared
-// by the synchronous facade and the concurrent runtime, and publishes
+// by the runtime's synchronous and pooled paths, and publishes
 // hit/miss/eviction counts as the host.plan.* gauges.
 #pragma once
 
@@ -23,7 +23,11 @@
 #include <unordered_map>
 #include <variant>
 
+#include "blas1/dot_engine.hpp"
 #include "blas2/mxv_col.hpp"
+#include "blas3/mm_array.hpp"
+#include "blas3/mm_hier.hpp"
+#include "blas3/mm_multi.hpp"
 #include "fp/backend.hpp"
 #include "host/graph.hpp"
 #include "host/op.hpp"
@@ -106,6 +110,9 @@ struct Plan {
 /// ConfigError if none exists — use the compat layer's padding then — or
 /// if mm_m, mm_b or mm_l is zero).
 std::size_t choose_panel_edge(const ContextConfig& cfg, std::size_t n);
+
+/// BRAM words of the staging FIFOs every GEMV design holds (tree and column).
+constexpr u64 kStagingFifoWords = 128;
 
 /// BRAM words the reduction-circuit designs (dot, tree GEMV, SpMXV) hold
 /// besides their x store: the two alpha^2 reduction buffers and the

@@ -26,6 +26,24 @@ Cfg with_schedule(const Cfg& planned, telemetry::Session* tel,
   return cfg;
 }
 
+/// The engines' native outcomes -> the unified Outcome: the payload and the
+/// report. Engine-specific extras stay behind; run_engine stamps the kind.
+Outcome to_outcome(blas1::DotOutcome&& o) {
+  return {OpKind::Dot, std::move(o.results), std::move(o.report)};
+}
+Outcome to_outcome(blas2::MxvOutcome&& o) {
+  return {OpKind::Gemv, std::move(o.y), std::move(o.report)};
+}
+Outcome to_outcome(blas3::MmOutcome&& o) {
+  return {OpKind::GemmArray, std::move(o.c), std::move(o.report)};
+}
+Outcome to_outcome(blas3::MmHierOutcome&& o) {
+  return {OpKind::Gemm, std::move(o.c), std::move(o.report)};
+}
+Outcome to_outcome(blas3::MmMultiOutcome&& o) {
+  return {OpKind::GemmMulti, std::move(o.c), std::move(o.report)};
+}
+
 /// Monotonic wall-clock nanoseconds for TraceContext lifecycle stamps.
 u64 now_ns() {
   return static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -214,7 +232,7 @@ Outcome Runtime::run_engine(const Plan& plan, const OpDesc& desc,
           with_schedule(std::get<blas1::DotConfig>(plan.engine), tel, plan));
       // Single-pair overload: no per-op batch-vector wrap (two vector
       // copies per tiny op on the old path).
-      out = to_outcome(engine.run_pair(*desc.a, *desc.b), OpKind::Dot);
+      out = to_outcome(engine.run_pair(*desc.a, *desc.b));
       break;
     }
     case OpKind::DotBatch: {
@@ -245,20 +263,18 @@ Outcome Runtime::run_engine(const Plan& plan, const OpDesc& desc,
           with_schedule(std::get<blas2::MxvTreeConfig>(plan.engine), tel, plan);
       if (!plan.blocked_gemv) {
         blas2::MxvTreeEngine engine(tc);
-        out = to_outcome(engine.run(*desc.a, desc.rows, desc.cols, *desc.x),
-                         OpKind::GemvAuto);
+        out = to_outcome(engine.run(*desc.a, desc.rows, desc.cols, *desc.x));
       } else {
         out = to_outcome(
             blas2::run_blocked_gemv_tree(tc, plan.onchip_capacity, *desc.a,
-                                         desc.rows, desc.cols, *desc.x),
-            OpKind::GemvAuto);
+                                         desc.rows, desc.cols, *desc.x));
       }
       break;
     }
     case OpKind::Spmxv: {
       blas2::SpmxvEngine engine(
           with_telemetry(std::get<blas2::SpmxvConfig>(plan.engine), tel));
-      out = to_outcome(engine.run(*desc.sparse, *desc.x), OpKind::Spmxv);
+      out = to_outcome(engine.run(*desc.sparse, *desc.x));
       break;
     }
     case OpKind::Gemm:
@@ -288,7 +304,7 @@ Outcome Runtime::run_engine(const Plan& plan, const OpDesc& desc,
       break;
     }
   }
-  // The Mm outcome adapters hardcode their usual kind; keep the caller's.
+  // The adapters stamp their engine's usual kind; keep the caller's.
   out.kind = desc.kind;
   return out;
 }

@@ -1,10 +1,12 @@
-// Runtime layer: the plan/execute engine behind host::Context.
+// Runtime layer: the one way to run an op. An OpDesc goes in, an Outcome
+// (values + PerfReport) comes out.
 //
 // A Runtime binds one machine configuration to the process-wide ThreadPool
 // and a PlanCache. Operations arrive as OpDescs (or GraphDescs) and leave as
 // Outcomes (GraphOutcomes):
 //
 //   host::Runtime rt(cfg);
+//   Outcome y = rt.run(OpDesc::gemv(a, n, n, x));     // sync, this thread
 //   auto fut = rt.submit(OpDesc::gemv(a, n, n, x));   // async, pooled
 //   Outcome out = fut.get();                          // value or exception
 //
@@ -89,7 +91,7 @@ class Runtime {
   /// `pool` defaults to the process-wide shared pool.
   explicit Runtime(const ContextConfig& cfg, ThreadPool* pool = nullptr);
 
-  /// Execute on the calling thread (the synchronous Context facade path).
+  /// Execute on the calling thread.
   Outcome run(const OpDesc& desc);
 
   /// Execute on the worker pool; the future carries the Outcome or the

@@ -119,9 +119,9 @@ void add_gemv_col(std::vector<TuneCandidate>& out, const ContextConfig& cfg,
     const machine::DesignArea standalone = area.mxv_col_design(k);
     c.area = machine::DesignArea{
         standalone.slices + area.xd1_interface_slices(), 164.0};
-    // Interleaved accumulation needs y resident per lane, no reduction
-    // circuit buffers.
-    c.bram_words = rows + 128;
+    // Interleaved accumulation needs y resident per lane and the staging
+    // FIFOs, no reduction circuit buffers.
+    c.bram_words = rows + kStagingFifoWords;
     c.required_words_per_cycle = k + 1.0;  // k of A plus the broadcast x
     c.available_words_per_cycle = cfg.sram_banks;
     c.feasible = true;

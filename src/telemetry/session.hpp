@@ -7,8 +7,8 @@
 //   telemetry::Session tel;
 //   host::ContextConfig cfg;
 //   cfg.telemetry = &tel;
-//   host::Context ctx(cfg);
-//   ctx.gemm(a, b, n);
+//   host::Runtime rt(cfg);
+//   rt.run(host::OpDesc::gemm(a, b, n));
 //   std::string m = telemetry::metrics_to_json(tel.metrics());   // export
 //   std::string t = telemetry::chrome_trace_json(tel, clock_mhz);
 //

@@ -1,8 +1,13 @@
 // Umbrella header: everything a library user needs.
 //
 //   #include "xdblas.hpp"
-//   xd::host::Context ctx;
-//   auto c = ctx.gemm(a, b, n);
+//   xd::host::Runtime rt(xd::host::ContextConfig{});   // one XD1 node
+//   auto out = rt.run(xd::host::OpDesc::gemm(a, b, n));
+//   // out.values is row-major C, out.report the simulated cycles
+//
+// Every op runs this one way: an OpDesc through Runtime::run (or submit)
+// into an Outcome. A Context bundles a config with its Runtime for the
+// solvers and the BLAS compat layer.
 //
 // Finer-grained headers remain available for users who want a single engine
 // (e.g. reduce/reduction_circuit.hpp for just the reduction circuit).

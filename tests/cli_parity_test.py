@@ -24,6 +24,9 @@ LINES = [
     "gemm --n 64 --b 32",
     "gemm --n 64 --b 32 --l 2",
     "spmxv --n 256 --nnz-per-row 8",
+    # SpMXV's SRAM rate follows k (k/2 words per cycle), as the plan sets it.
+    "spmxv --n 128 --k 2 --seed 9",
+    "spmxv --n 128 --k 8",
 ]
 
 

@@ -38,11 +38,11 @@ TEST(Consistency, DotEqualsOneRowGemv) {
   const auto u = rng.vector(n);
   const auto v = rng.vector(n);
 
-  host::Context ctx;
-  const double d = ctx.dot(u, v).value;
+  host::Runtime rt(host::ContextConfig{});
+  const double d = rt.run(host::OpDesc::dot(u, v)).values[0];
   // One-row GEMV computes the same dot product (different engine).
-  const auto y = ctx.gemv(u, 1, n, v);
-  EXPECT_NEAR(d, y.y[0], 1e-10 * n);
+  const auto y = rt.run(host::OpDesc::gemv(u, 1, n, v));
+  EXPECT_NEAR(d, y.values[0], 1e-10 * n);
 }
 
 TEST(Consistency, GemmArrayVsCompatVsReference) {
@@ -52,15 +52,15 @@ TEST(Consistency, GemmArrayVsCompatVsReference) {
   const auto b = rng.matrix(n, n);
 
   host::Context ctx;
-  const auto direct = ctx.gemm_array(a, b, n);
+  const auto direct = ctx.runtime().run(host::OpDesc::gemm_array(a, b, n));
   std::vector<double> via_compat(n * n, 0.0);
   host::compat_dgemm(ctx, host::Transpose::No, host::Transpose::No, n, n, n,
                      1.0, a.data(), n, b.data(), n, 0.0, via_compat.data(), n);
   const auto ref = host::ref_gemm(a, b, n);
-  EXPECT_LT(host::max_abs_diff(direct.c, ref), 1e-10 * n);
+  EXPECT_LT(host::max_abs_diff(direct.values, ref), 1e-10 * n);
   EXPECT_LT(host::max_abs_diff(via_compat, ref), 1e-10 * n);
   // Both run the identical accumulation order: bit-equal to each other.
-  EXPECT_EQ(direct.c, via_compat);
+  EXPECT_EQ(direct.values, via_compat);
 }
 
 TEST(Consistency, JacobiDenseAndSparseAgree) {
@@ -92,10 +92,10 @@ TEST(ExactProperties, DotScalesByPowersOfTwoExactly) {
   Rng rng(4);
   const auto u = rng.vector(777);
   const auto v = rng.vector(777);
-  host::Context ctx;
-  const double base = ctx.dot(u, v).value;
-  EXPECT_EQ(ctx.dot(scale(u, 4.0), v).value, 4.0 * base);
-  EXPECT_EQ(ctx.dot(u, scale(v, 0.5)).value, 0.5 * base);
+  host::Runtime rt(host::ContextConfig{});
+  const double base = rt.run(host::OpDesc::dot(u, v)).values[0];
+  EXPECT_EQ(rt.run(host::OpDesc::dot(scale(u, 4.0), v)).values[0], 4.0 * base);
+  EXPECT_EQ(rt.run(host::OpDesc::dot(u, scale(v, 0.5))).values[0], 0.5 * base);
 }
 
 TEST(ExactProperties, GemvScalesByPowersOfTwoExactly) {
@@ -103,9 +103,9 @@ TEST(ExactProperties, GemvScalesByPowersOfTwoExactly) {
   const std::size_t n = 128;
   const auto a = rng.matrix(n, n);
   const auto x = rng.vector(n);
-  host::Context ctx;
-  const auto y1 = ctx.gemv(a, n, n, x).y;
-  const auto y2 = ctx.gemv(a, n, n, scale(x, 2.0)).y;
+  host::Runtime rt(host::ContextConfig{});
+  const auto y1 = rt.run(host::OpDesc::gemv(a, n, n, x)).values;
+  const auto y2 = rt.run(host::OpDesc::gemv(a, n, n, scale(x, 2.0))).values;
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(y2[i], 2.0 * y1[i]) << i;
 }
 
@@ -138,9 +138,9 @@ TEST(ExactProperties, GemvNegationIsExact) {
   const std::size_t n = 96;
   const auto a = rng.matrix(n, n);
   const auto x = rng.vector(n);
-  host::Context ctx;
-  const auto y1 = ctx.gemv(a, n, n, x).y;
-  const auto y2 = ctx.gemv(a, n, n, scale(x, -1.0)).y;
+  host::Runtime rt(host::ContextConfig{});
+  const auto y1 = rt.run(host::OpDesc::gemv(a, n, n, x)).values;
+  const auto y2 = rt.run(host::OpDesc::gemv(a, n, n, scale(x, -1.0))).values;
   for (std::size_t i = 0; i < n; ++i) {
     // -0.0 == 0.0 compares equal, which is the right semantics here.
     EXPECT_EQ(y2[i], -y1[i]) << i;
@@ -232,27 +232,28 @@ TEST(FailureInjection, SpmxvRejectsCorruptMatrix) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized shape sweep through the whole Context surface.
+// Randomized shape sweep through the runtime.
 
 class RandomShapes : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomShapes, GemvAndDotAgainstReference) {
   Rng rng(100 + GetParam());
-  host::Context ctx;
+  host::Runtime rt(host::ContextConfig{});
   for (int trial = 0; trial < 3; ++trial) {
     const std::size_t rows = rng.uniform_int(1, 160);
     const std::size_t cols = rng.uniform_int(1, 160);
     const auto a = rng.matrix(rows, cols);
     const auto x = rng.vector(cols);
-    const auto y = ctx.gemv(a, rows, cols, x);
+    const auto y = rt.run(host::OpDesc::gemv(a, rows, cols, x));
     const auto ref = host::ref_gemv(a, rows, cols, x);
-    ASSERT_LT(host::max_abs_diff(y.y, ref), 1e-11 * cols)
+    ASSERT_LT(host::max_abs_diff(y.values, ref), 1e-11 * cols)
         << rows << "x" << cols;
 
     const std::size_t n = rng.uniform_int(1, 3000);
     const auto u = rng.vector(n);
     const auto v = rng.vector(n);
-    ASSERT_NEAR(ctx.dot(u, v).value, host::ref_dot(u, v), 1e-11 * n);
+    ASSERT_NEAR(rt.run(host::OpDesc::dot(u, v)).values[0], host::ref_dot(u, v),
+                1e-11 * n);
   }
 }
 
@@ -267,11 +268,11 @@ TEST(SpecialValues, NanPropagatesThroughGemv) {
   auto a = rng.matrix(n, n);
   a[5 * n + 7] = std::numeric_limits<double>::quiet_NaN();
   const auto x = rng.vector(n);
-  host::Context ctx;
-  const auto out = ctx.gemv(a, n, n, x);
-  EXPECT_TRUE(std::isnan(out.y[5]));  // only the poisoned row
-  EXPECT_FALSE(std::isnan(out.y[4]));
-  EXPECT_FALSE(std::isnan(out.y[6]));
+  host::Runtime rt(host::ContextConfig{});
+  const auto out = rt.run(host::OpDesc::gemv(a, n, n, x));
+  EXPECT_TRUE(std::isnan(out.values[5]));  // only the poisoned row
+  EXPECT_FALSE(std::isnan(out.values[4]));
+  EXPECT_FALSE(std::isnan(out.values[6]));
 }
 
 TEST(SpecialValues, InfPropagatesThroughGemmArray) {
@@ -293,10 +294,10 @@ TEST(SpecialValues, InfPropagatesThroughGemmArray) {
 }
 
 TEST(SpecialValues, NanThroughReductionBasedDot) {
-  host::Context ctx;
+  host::Runtime rt(host::ContextConfig{});
   std::vector<double> u(100, 1.0), v(100, 1.0);
   u[50] = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_TRUE(std::isnan(ctx.dot(u, v).value));
+  EXPECT_TRUE(std::isnan(rt.run(host::OpDesc::dot(u, v)).values[0]));
 }
 
 // ---------------------------------------------------------------------------

@@ -471,7 +471,8 @@ TEST(ContextTelemetry, DotPhasesTileTotalCycles) {
   cfg.telemetry = &tel;
   host::Context ctx(cfg);
 
-  const auto r = ctx.dot(rng.vector(256), rng.vector(256), host::Placement::Dram);
+  const auto r = ctx.runtime().run(host::OpDesc::dot(
+      rng.vector(256), rng.vector(256), host::Placement::Dram));
   EXPECT_EQ(tel.spans().total_cycles("staging") +
                 tel.spans().total_cycles("compute"),
             r.report.cycles);
@@ -488,7 +489,8 @@ TEST(ContextTelemetry, GemmPhasesAndNamespaces) {
   host::Context ctx(cfg);
 
   const std::size_t n = 64;
-  const auto out = ctx.gemm(rng.matrix(n, n), rng.matrix(n, n), n);
+  const auto out = ctx.runtime().run(
+      host::OpDesc::gemm(rng.matrix(n, n), rng.matrix(n, n), n));
   EXPECT_EQ(tel.spans().total_cycles("compute") +
                 tel.spans().total_cycles("staging"),
             out.report.cycles);
@@ -509,6 +511,7 @@ TEST(ContextTelemetry, GemmPhasesAndNamespaces) {
 TEST(ContextTelemetry, DisabledByDefaultRecordsNothing) {
   Rng rng(13);
   host::Context ctx;  // no session attached
-  const auto r = ctx.dot(rng.vector(128), rng.vector(128));
+  const auto r =
+      ctx.runtime().run(host::OpDesc::dot(rng.vector(128), rng.vector(128)));
   EXPECT_GT(r.report.cycles, 0u);  // ran fine without any telemetry sink
 }

@@ -12,6 +12,12 @@
 //                        [--nnz-per-row Z] [--l L] [--arch tree|col]
 //                        [--policy model|probe] [--banks B] [--from-dram]
 //
+// An op command (dot, gemv, gemm, spmxv) is a one-line batch: the command
+// line minus its telemetry options is parsed by the batch grammar, with its
+// problem-size bounds (serve/proto.hpp), and runs through host::Runtime on
+// the line's engine config. A line the grammar rejects is an argument
+// error (usage, exit 2).
+//
 // Tune mode runs the design autotuner (host/tuner.hpp) for one op+shape and
 // prints the ranked candidate table: every enumerated design with its
 // modeled area, clock, latency and bandwidth need, why the infeasible ones
@@ -59,14 +65,12 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <fstream>
 #include <future>
 #include <map>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -94,22 +98,9 @@ class UsageError : public std::runtime_error {
 
 struct Args {
   std::string command;
+  std::string line;  ///< op commands: the batch line to run
   std::map<std::string, std::string> kv;
   bool flag(const std::string& name) const { return kv.count(name) > 0; }
-  /// Validated finite double; rejects junk like "--bw-gbs fast" and
-  /// overflowing exponents.
-  double num(const std::string& name, double dflt) const {
-    const auto it = kv.find(name);
-    if (it == kv.end()) return dflt;
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0' || errno == ERANGE) {
-      throw UsageError(cat("--", name, " expects a number, got '", it->second,
-                           "'"));
-    }
-    return v;
-  }
   /// Validated non-negative integer; rejects junk like "--n -4" or "--n x"
   /// and values that overflow long long (e.g. --n 99999999999999999999).
   long long integer(const std::string& name, long long dflt) const {
@@ -133,24 +124,23 @@ struct Args {
   }
 };
 
-/// Flags valid for every command.
-const std::set<std::string> kCommonFlags = {
-    "seed", "json", "metrics-out", "trace-out", "trace-filter", "flight-out"};
+/// Per-process flags, valid for every command: the telemetry sinks.
+const std::set<std::string> kProcessFlags = {
+    "json", "metrics-out", "trace-out", "trace-filter", "flight-out"};
 
 /// Flags that take no value; every other flag requires one.
 const std::set<std::string> kBoolFlags = {"json", "from-dram"};
 
+/// Commands whose line is one batch record (serve::parse_record).
+const std::set<std::string> kOpCommands = {"dot", "gemv", "gemm", "spmxv"};
+
 const std::map<std::string, std::set<std::string>> kCommandFlags = {
-    {"dot", {"n", "k", "bw-gbs", "from-dram"}},
-    {"gemv", {"n", "k", "from-dram", "arch"}},
-    {"gemm", {"n", "k", "m", "b", "l"}},
-    {"spmxv", {"n", "nnz-per-row", "k"}},
-    {"reduce", {"sets", "size", "alpha"}},
-    {"explore", {"device"}},
-    {"batch", {"out"}},
+    {"reduce", {"sets", "size", "alpha", "seed"}},
+    {"explore", {"device", "seed"}},
+    {"batch", {"out", "seed"}},
     {"tune",
      {"n", "rows", "cols", "batch", "nnz-per-row", "l", "arch", "policy",
-      "banks", "from-dram"}},
+      "banks", "from-dram", "seed"}},
 };
 
 int usage() {
@@ -179,7 +169,7 @@ bool parse_flags(const std::vector<std::string>& tokens,
       return false;
     }
     const std::string key = tokens[i].substr(2);
-    if (!kCommonFlags.count(key) && !allowed.count(key)) {
+    if (!kProcessFlags.count(key) && !allowed.count(key)) {
       std::fprintf(stderr, "error: unknown flag '--%s' for command '%s'\n",
                    key.c_str(), command.c_str());
       return false;
@@ -205,6 +195,25 @@ bool parse(int argc, char** argv, Args& a) {
     return false;
   }
   a.command = argv[1];
+  if (kOpCommands.count(a.command)) {
+    // The telemetry flags (and their values) stay here; every other token
+    // belongs to the batch line, which run_op parses.
+    std::vector<std::string> process;
+    a.line = a.command;
+    for (int i = 2; i < argc; ++i) {
+      const std::string tok = argv[i];
+      if (tok.rfind("--", 0) != 0 || !kProcessFlags.count(tok.substr(2))) {
+        a.line += ' ' + tok;
+        continue;
+      }
+      process.push_back(tok);
+      if (!kBoolFlags.count(tok.substr(2)) && i + 1 < argc &&
+          std::string(argv[i + 1]).rfind("--", 0) != 0) {
+        process.emplace_back(argv[++i]);
+      }
+    }
+    return parse_flags(process, a.command, {}, a);
+  }
   const auto cmd = kCommandFlags.find(a.command);
   if (cmd == kCommandFlags.end()) {
     std::fprintf(stderr, "error: unknown command '%s'\n", a.command.c_str());
@@ -335,11 +344,11 @@ bool finish(const Args& args, telemetry::Session& tel,
 }
 
 /// One batch job: the parsed request (which owns the operands) plus the
-/// per-job Context honoring the line's engine knobs and the pending future.
+/// per-job Runtime honoring the line's engine knobs and the pending future.
 /// Lives in a deque so addresses stay stable while later lines parse.
 struct BatchJob {
   serve::Request req;
-  std::optional<host::Context> ctx;
+  std::optional<host::Runtime> rt;
   std::future<host::Outcome> fut;
   std::future<host::GraphOutcome> gfut;
 };
@@ -349,7 +358,7 @@ struct BatchJob {
 /// submit them all through the runtime (independent simulations run
 /// concurrently on the process-wide worker pool), then emit one JSON record
 /// per job in input order. Unlike the server, the CLI honors per-line
-/// engine knobs (--k/--b/...) by giving each job its own Context.
+/// engine knobs (--k/--b/...) by giving each job its own Runtime.
 int run_batch(const Args& args) {
   const std::string path = args.str("file", "");
   std::ifstream in(path);
@@ -389,11 +398,11 @@ int run_batch(const Args& args) {
     if (!job.req.parse_error.empty()) continue;  // emitted as error record
     host::ContextConfig cfg = job.req.cfg;
     if (want_tel) cfg.telemetry = &session;  // shards merge on completion
-    job.ctx.emplace(cfg);
+    job.rt.emplace(cfg);
     if (job.req.is_graph) {
-      job.gfut = job.ctx->runtime().submit_graph(job.req.graph);
+      job.gfut = job.rt->submit_graph(job.req.graph);
     } else {
-      job.fut = job.ctx->runtime().submit(job.req.desc);
+      job.fut = job.rt->submit(job.req.desc);
     }
   }
 
@@ -423,6 +432,29 @@ int run_batch(const Args& args) {
     if (!finish(args, session, nullptr)) return 1;
   }
   return rc;
+}
+
+/// `xdblas_cli dot|gemv|gemm|spmxv ...`: parse the op's batch line and run
+/// it on a Runtime built from the line's config; returns the op's report.
+/// A line the grammar rejects (junk value, unknown flag, an operand beyond
+/// ParseLimits) is an argument error.
+host::PerfReport run_op(const Args& args, telemetry::Session& session) {
+  serve::Request req;
+  serve::parse_record(args.line, 1, host::ContextConfig{}, req);
+  if (!req.parse_error.empty()) throw UsageError(req.parse_error);
+  host::ContextConfig cfg = req.cfg;
+  cfg.telemetry = &session;
+  const host::Outcome out = host::Runtime(cfg).run(req.desc);
+  if (!args.flag("json")) {
+    if (req.command == "dot") {
+      std::printf("dot(%zu) = %.12g\n", req.n, out.values.at(0));
+    } else if (req.command == "spmxv") {
+      const blas2::CrsMatrix& m = *req.desc.sparse;
+      std::printf("spmxv %zux%zu, nnz=%zu (density %.2f%%)\n", m.rows, m.cols,
+                  m.nnz(), 100.0 * m.density());
+    }
+  }
+  return out.report;
 }
 
 /// `xdblas_cli tune <op>`: run the design autotuner for one op+shape and
@@ -530,7 +562,6 @@ int main(int argc, char** argv) {
   try {
     if (args.command == "batch") return run_batch(args);
     if (args.command == "tune") return run_tune(args);
-    Rng rng(static_cast<u64>(args.integer("seed", 2005)));
     // Event tracing only turns on when a trace file was requested (emit
     // sites build strings the fast path avoids).
     if (args.flag("trace-out")) session.trace().set_enabled(true);
@@ -539,68 +570,15 @@ int main(int argc, char** argv) {
     host::PerfReport report;
     bool have_report = false;
 
-    if (args.command == "dot") {
-      const std::size_t n = static_cast<std::size_t>(args.integer("n", 4096));
-      host::ContextConfig cfg;
-      cfg.dot_k = static_cast<unsigned>(args.integer("k", 2));
-      cfg.dot_mem_bytes_per_s = args.num("bw-gbs", 5.5) * 1e9;
-      cfg.telemetry = &session;
-      host::Context ctx(cfg);
-      const auto src = args.flag("from-dram") ? host::Placement::Dram
-                                              : host::Placement::Sram;
-      const auto r = ctx.dot(rng.vector(n), rng.vector(n), src);
-      if (!json) std::printf("dot(%zu) = %.12g\n", n, r.value);
-      report = r.report;
-      have_report = true;
-    } else if (args.command == "gemv") {
-      const std::size_t n = static_cast<std::size_t>(args.integer("n", 1024));
-      host::ContextConfig cfg;
-      cfg.gemv_k = static_cast<unsigned>(args.integer("k", 4));
-      cfg.telemetry = &session;
-      host::Context ctx(cfg);
-      const auto arch = args.str("arch", "tree") == "col"
-                            ? host::GemvArch::Column
-                            : host::GemvArch::Tree;
-      const auto src = args.flag("from-dram") ? host::Placement::Dram
-                                              : host::Placement::Sram;
-      const auto out = ctx.gemv(rng.matrix(n, n), n, n, rng.vector(n), src, arch);
-      report = out.report;
-      have_report = true;
-    } else if (args.command == "gemm") {
-      const std::size_t n = static_cast<std::size_t>(args.integer("n", 256));
-      host::ContextConfig cfg;
-      cfg.mm_k = static_cast<unsigned>(args.integer("k", 8));
-      cfg.mm_m = static_cast<unsigned>(args.integer("m", 8));
-      cfg.mm_b = static_cast<std::size_t>(
-          args.integer("b", static_cast<long long>(std::min<std::size_t>(512, n))));
-      cfg.mm_l = static_cast<unsigned>(args.integer("l", 1));
-      cfg.telemetry = &session;
-      host::Context ctx(cfg);
-      report = cfg.mm_l > 1
-                   ? ctx.gemm_multi(rng.matrix(n, n), rng.matrix(n, n), n).report
-                   : ctx.gemm(rng.matrix(n, n), rng.matrix(n, n), n).report;
-      have_report = true;
-    } else if (args.command == "spmxv") {
-      const std::size_t n = static_cast<std::size_t>(args.integer("n", 1024));
-      const std::size_t nnz =
-          static_cast<std::size_t>(args.integer("nnz-per-row", 16));
-      blas2::SpmxvConfig cfg;
-      cfg.k = static_cast<unsigned>(args.integer("k", 4));
-      cfg.telemetry = &session;
-      blas2::SpmxvEngine engine(cfg);
-      const auto m = blas2::make_uniform_sparse(n, n, nnz, 7);
-      const auto out = engine.run(m, rng.vector(n));
-      if (!json) {
-        std::printf("spmxv %zux%zu, nnz=%zu (density %.2f%%)\n", n, n, m.nnz(),
-                    100.0 * m.density());
-      }
-      report = out.report;
+    if (kOpCommands.count(args.command)) {
+      report = run_op(args, session);
       have_report = true;
     } else if (args.command == "reduce") {
       const std::size_t sets = static_cast<std::size_t>(args.integer("sets", 200));
       const std::size_t size = static_cast<std::size_t>(args.integer("size", 512));
       const unsigned alpha = static_cast<unsigned>(args.integer("alpha", 14));
       require(sets >= 1 && size >= 1, "reduce needs --sets >= 1 and --size >= 1");
+      Rng rng(static_cast<u64>(args.integer("seed", 2005)));
       reduce::ReductionCircuit c(alpha);
       if (session.trace().enabled()) c.attach_trace(&session.trace());
       std::size_t done = 0, si = 0, ei = 0;
