@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/parallel.hpp"
+#include "blas3/gemm_rows.hpp"
 #include "common/util.hpp"
-#include "fp/backend.hpp"
 #include "model/perf_model.hpp"
 #include "telemetry/session.hpp"
 
@@ -118,16 +117,11 @@ MmHierOutcome MmHierEngine::run_panel(const std::vector<double>& a,
           "GEMM: matrix size mismatch");
 
   MmHierOutcome out;
-  out.c.assign(rows * n, 0.0);
-
   // Numerics: every C element accumulates its products in ascending inner
   // index — the exact order the PE array produces (validated bit-for-bit
   // against MmArrayEngine in tests), independent of the blocking. This is
   // what makes row-panel sharding bit-identical to a single full run.
-  const fp::Backend& be = fp::active_backend();
-  parallel_for(0, rows, [&](std::size_t row) {
-    be.gemm_rows(a.data() + row * n, b.data(), out.c.data() + row * n, 1, n);
-  });
+  out.c = gemm_row_blocks(a, rows, b, n);
 
   fill_model(out, rows, n);
   return out;

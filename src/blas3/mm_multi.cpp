@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/parallel.hpp"
-#include "fp/backend.hpp"
+#include "blas3/gemm_rows.hpp"
 #include "telemetry/session.hpp"
 
 namespace xd::blas3 {
@@ -135,11 +134,7 @@ MmMultiOutcome MmMultiEngine::run(const std::vector<double>& a,
 
   // Numerics: ascending-inner accumulation, the exact element-level order of
   // the PE array (bit-identical to MmArrayEngine / MmHierEngine).
-  out.c.assign(n * n, 0.0);
-  const fp::Backend& be = fp::active_backend();
-  parallel_for(0, n, [&](std::size_t row) {
-    be.gemm_rows(a.data() + row * n, b.data(), out.c.data() + row * n, 1, n);
-  });
+  out.c = gemm_row_blocks(a, n, b, n);
 
   out.report.design = cat("mm-multi l=", l, " k=", cfg_.k, " m=", m, " b=", cfg_.b);
   out.report.cycles = static_cast<u64>(std::ceil(makespan));

@@ -1,7 +1,6 @@
 #include "blas3/mm_on_node.hpp"
 
-#include "common/parallel.hpp"
-#include "fp/backend.hpp"
+#include "blas3/gemm_rows.hpp"
 #include "telemetry/session.hpp"
 
 namespace xd::blas3 {
@@ -115,11 +114,7 @@ MmOutcome MmOnNodeEngine::run(const std::vector<double>& a,
 
   // Numerics: the validated ascending-inner accumulation order.
   MmOutcome out;
-  out.c.assign(n * n, 0.0);
-  const fp::Backend& be = fp::active_backend();
-  parallel_for(0, n, [&](std::size_t row) {
-    be.gemm_rows(a.data() + row * n, b.data(), out.c.data() + row * n, 1, n);
-  });
+  out.c = gemm_row_blocks(a, n, b, n);
 
   out.report.design = cat("mm-on-node k=", cfg_.k, " m=", m, " b=", cfg_.b);
   out.report.cycles = cycle;

@@ -135,30 +135,112 @@ void chain_gemm_rows(const double* a, const double* b, double* c,
 
 constexpr Backend::GemmRows soft_gemm_rows = &chain_gemm_rows<&fp::add, &fp::mul>;
 
-void native_gemm_rows(const double* a, const double* b, double* c,
-                      std::size_t rows, std::size_t n) {
-  // Plain host doubles first (this file is built with -ffp-contract=off, so
-  // the multiply and the add each round). IEEE add and mul never turn inf or
-  // NaN back into a finite value, so a finite output had only finite
-  // products and partial sums, whose RNE results are bit-identical to
-  // softfloat. A row with any non-finite output is recomputed through
-  // native_add / native_mul, which reproduce softfloat's NaN payloads, its
-  // default NaN for inf - inf and 0 * inf, and its infinities.
-  for (std::size_t r = 0; r < rows; ++r) {
+// The host-double loop over C columns [j0, n) of rows [r0, r1), in the
+// chain's (row, inner, col) order: the tiled kernel's tail rows and tail
+// columns.
+[[gnu::always_inline]] inline void host_gemm_cols(
+    const double* a, const double* b, double* c, std::size_t r0,
+    std::size_t r1, std::size_t j0, std::size_t n) {
+  for (std::size_t r = r0; r < r1; ++r) {
     const double* __restrict ar = a + r * n;
     double* __restrict cr = c + r * n;
-    std::fill(cr, cr + n, 0.0);
+    std::fill(cr + j0, cr + n, 0.0);
     for (std::size_t k = 0; k < n; ++k) {
       const double aik = ar[k];
       const double* __restrict bk = b + k * n;
-      for (std::size_t j = 0; j < n; ++j) cr[j] += aik * bk[j];
-    }
-    const auto special = [](double x) { return is_special(to_bits(x)); };
-    if (std::any_of(cr, cr + n, special)) [[unlikely]] {
-      chain_gemm_rows<&native_add, &native_mul>(ar, b, cr, 1, n);
+      for (std::size_t j = j0; j < n; ++j) cr[j] += aik * bk[j];
     }
   }
 }
+
+/// Rows and columns of C one register tile holds.
+constexpr std::size_t kTileRows = 4;
+constexpr std::size_t kTileCols = 8;
+
+using Vec2 = double __attribute__((vector_size(16)));
+using Vec4 = double __attribute__((vector_size(32)));
+
+// C in kTileRows x kTileCols tiles held in registers while the tile's rows
+// of A and a kTileCols-wide strip of B stream past. Each lane of a Vec
+// accumulator is one C element: it starts at +0 and adds a[r][k] * b[k][j]
+// for ascending k, every multiply and add rounding on its own — the chain's
+// order, so the bits are the scalar loop's. The unroll pragmas keep the
+// accumulators in registers.
+template <typename Vec>
+[[gnu::always_inline]] inline void host_gemm_tiles(const double* a,
+                                                   const double* b, double* c,
+                                                   std::size_t rows,
+                                                   std::size_t n) {
+  constexpr std::size_t lanes = sizeof(Vec) / sizeof(double);
+  constexpr std::size_t vecs = kTileCols / lanes;
+  const std::size_t tile_rows = rows - rows % kTileRows;
+  const std::size_t tile_cols = n - n % kTileCols;
+  for (std::size_t r = 0; r < tile_rows; r += kTileRows) {
+    for (std::size_t j = 0; j < tile_cols; j += kTileCols) {
+      Vec acc[kTileRows][vecs] = {};
+      for (std::size_t k = 0; k < n; ++k) {
+        Vec bk[vecs];
+#pragma GCC unroll 8
+        for (std::size_t v = 0; v < vecs; ++v) {
+          std::memcpy(&bk[v], b + k * n + j + v * lanes, sizeof(Vec));
+        }
+#pragma GCC unroll 8
+        for (std::size_t q = 0; q < kTileRows; ++q) {
+          Vec aqk;
+          for (std::size_t l = 0; l < lanes; ++l) aqk[l] = a[(r + q) * n + k];
+#pragma GCC unroll 8
+          for (std::size_t v = 0; v < vecs; ++v) acc[q][v] += aqk * bk[v];
+        }
+      }
+#pragma GCC unroll 8
+      for (std::size_t q = 0; q < kTileRows; ++q) {
+#pragma GCC unroll 8
+        for (std::size_t v = 0; v < vecs; ++v) {
+          std::memcpy(c + (r + q) * n + j + v * lanes, &acc[q][v], sizeof(Vec));
+        }
+      }
+    }
+    host_gemm_cols(a, b, c, r, r + kTileRows, tile_cols, n);
+  }
+  host_gemm_cols(a, b, c, tile_rows, rows, 0, n);
+}
+
+// IEEE add and mul never turn inf or NaN back into a finite value, so a
+// finite output had only finite products and partial sums, whose RNE
+// results are bit-identical to softfloat. A row with any non-finite output
+// is recomputed through native_add / native_mul, which reproduce
+// softfloat's NaN payloads, its default NaN for inf - inf and 0 * inf, and
+// its infinities.
+void redo_nonfinite_rows(const double* a, const double* b, double* c,
+                         std::size_t rows, std::size_t n) {
+  const auto special = [](double x) { return is_special(to_bits(x)); };
+  for (std::size_t r = 0; r < rows; ++r) {
+    double* cr = c + r * n;
+    if (std::any_of(cr, cr + n, special)) [[unlikely]] {
+      chain_gemm_rows<&native_add, &native_mul>(a + r * n, b, cr, 1, n);
+    }
+  }
+}
+
+// Plain host doubles first (this file is built with -ffp-contract=off, so
+// the multiply and the add each round), then the non-finite rows again.
+void native_gemm_rows_baseline(const double* a, const double* b, double* c,
+                               std::size_t rows, std::size_t n) {
+  host_gemm_tiles<Vec2>(a, b, c, rows, n);
+  redo_nonfinite_rows(a, b, c, rows, n);
+}
+
+#if defined(__x86_64__)
+// The same source on 256-bit registers; AVX2 implies no FMA, and vmulpd /
+// vaddpd round per lane exactly as their SSE2 forms do.
+[[gnu::target("avx2")]] void native_gemm_rows_avx2(const double* a,
+                                                   const double* b, double* c,
+                                                   std::size_t rows,
+                                                   std::size_t n) {
+  host_gemm_tiles<Vec4>(a, b, c, rows, n);
+  redo_nonfinite_rows(a, b, c, rows, n);
+}
+#endif
 
 // The adder-tree input stream on the scalar add/mul chain: per group, the
 // lane products (tail lanes +0, as the feeders pad them), then the pairwise
@@ -265,10 +347,22 @@ const Backend& soft_backend() {
   return be;
 }
 
+std::vector<GemmRowsVariant> native_gemm_rows_variants() {
+  std::vector<GemmRowsVariant> v;
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) v.push_back({"avx2", &native_gemm_rows_avx2});
+#endif
+  v.push_back({"baseline", &native_gemm_rows_baseline});
+  return v;
+}
+
 const Backend& native_backend() {
-  static const Backend be{&native_add,       &native_mul,
-                          &native_mul_n,     &native_fold_n,
-                          &native_gemm_rows, &native_mac_groups,
+  static const Backend be{&native_add,
+                          &native_mul,
+                          &native_mul_n,
+                          &native_fold_n,
+                          native_gemm_rows_variants().front().gemm_rows,
+                          &native_mac_groups,
                           BackendKind::Native};
   return be;
 }

@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "fp/softfloat.hpp"
 
@@ -66,9 +67,14 @@ struct Backend {
   /// group instead of k-1 — the adds inline inside the backend.
   FoldN fold_n = nullptr;
   /// Row-major GEMM panel: c (rows x n) = a (rows x n) . b (n x n). Every C
-  /// element starts from +0 and adds its products in ascending inner order
-  /// (the PE array's order), so the bits match the scalar add/mul chain.
-  /// c must not overlap a or b.
+  /// element starts from +0 and adds its products in ascending inner order,
+  /// each add as add(acc, product), so the bits match the scalar add/mul
+  /// chain. That is the PE array's order of the products, not of the
+  /// operands: the PE adds (product, acc), which differs only in which NaN
+  /// payload survives. The native kernel keeps 4 x 8 tiles of C in
+  /// registers (tail rows and columns take the scalar loop) and redoes any
+  /// row with a non-finite output on native_add / native_mul. c must not
+  /// overlap a or b.
   GemmRows gemm_rows = nullptr;
   /// The adder-tree input stream of one vector pair: out[g] (g <
   /// ceil(n / k)) is the k-wide pairwise tree fold of a[i] * b[i] over group
@@ -89,6 +95,17 @@ struct Backend {
 // where IEEE-754 mandates one bit pattern on every conforming host.
 u64 native_add(u64 a, u64 b);
 u64 native_mul(u64 a, u64 b);
+
+/// One instruction-set build of the native gemm_rows kernel.
+struct GemmRowsVariant {
+  std::string_view isa;  ///< "avx2" or "baseline" (the compiler's target)
+  Backend::GemmRows gemm_rows = nullptr;
+};
+
+/// The native gemm_rows builds this host can run, preferred first;
+/// native_backend() uses the first. Every one is bit-identical to the soft
+/// kernel.
+std::vector<GemmRowsVariant> native_gemm_rows_variants();
 
 /// The two canonical tables.
 const Backend& soft_backend();

@@ -261,14 +261,13 @@ std::string add_graph_node(const std::string& spec, host::Placement src,
     if (!(err = operand("b", host::OperandSlot::B, n, d.b)).empty()) return err;
   } else if (kind == "gemv") {
     const std::string arch = kv.count("arch") ? kv.at("arch") : "tree";
-    if (arch != "tree" && arch != "col") {
+    if (!host::gemv_arch_from_name(arch, d.arch)) {
       return cat("node '", name, "': arch expects tree or col, got '", arch,
                  "'");
     }
     if (!(err = charge_elems(n * n + n, elems, limits)).empty()) return err;
     d.kind = host::OpKind::Gemv;
     d.placement = src;
-    d.arch = arch == "col" ? host::GemvArch::Column : host::GemvArch::Tree;
     d.rows = d.cols = n;
     d.a = &req.pool.emplace_back(rng.matrix(n, n));
     if (!(err = operand("x", host::OperandSlot::X, n, d.x)).empty()) return err;
@@ -415,7 +414,8 @@ void parse_record(std::string_view text, std::size_t line_no,
       req.parse_error = la.error;
       return;
     }
-    if (arch != "tree" && arch != "col") {
+    host::GemvArch gemv_arch = host::GemvArch::Tree;
+    if (!host::gemv_arch_from_name(arch, gemv_arch)) {
       req.parse_error = cat("--arch expects tree or col, got '", arch, "'");
       return;
     }
@@ -428,9 +428,7 @@ void parse_record(std::string_view text, std::size_t line_no,
     req.cfg.gemv_k = k;
     auto& a = req.pool.emplace_back(rng.matrix(req.n, req.n));
     auto& x = req.pool.emplace_back(rng.vector(req.n));
-    req.desc = host::OpDesc::gemv(a, req.n, req.n, x, src,
-                                  arch == "col" ? host::GemvArch::Column
-                                                : host::GemvArch::Tree);
+    req.desc = host::OpDesc::gemv(a, req.n, req.n, x, src, gemv_arch);
   } else if (req.command == "gemm") {
     req.n = static_cast<std::size_t>(la.integer("n", 256));
     const auto k = static_cast<unsigned>(la.integer("k", base.mm_k));

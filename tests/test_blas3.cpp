@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "blas3/gemm_rows.hpp"
 #include "blas3/mm_array.hpp"
 #include "blas3/mm_hier.hpp"
 #include "common/random.hpp"
+#include "fp/backend.hpp"
 #include "host/reference.hpp"
 #include "model/perf_model.hpp"
 
@@ -267,6 +270,30 @@ TEST(MmHier, SmallEndToEndMatchesReference) {
   const auto out = engine.run(a, b, n);
   expect_close(out.c, host::ref_gemm(a, b, n), static_cast<double>(n));
   EXPECT_DOUBLE_EQ(out.sram_panel_words, 2.0 * 12 * 12);
+}
+
+TEST(MmHier, RowBlocksMatchOneKernelCallBitForBit) {
+  // 190 x 192 x 192 is 7.0M MACs, over three times kMinBlockMacs: with
+  // several pool workers the panel splits into uneven row blocks (63, 63
+  // and 64 rows on four), each with a tail below the kernel's 4-row tile.
+  // An infinity and a NaN send some rows through the non-finite recompute.
+  Rng rng(93);
+  const std::size_t rows = 190, n = 192;
+  auto a = rng.matrix(rows, n);
+  auto b = rng.matrix(n, n);
+  a[70 * n + 5] = std::numeric_limits<double>::infinity();
+  b[9 * n + 100] = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_GE(rows * n * n / blas3::kMinBlockMacs, 3u);
+
+  MmHierConfig cfg;
+  cfg.b = 64;
+  const auto split = MmHierEngine(cfg).run_panel(a, rows, b, n);
+  std::vector<double> whole(rows * n);
+  fp::active_backend().gemm_rows(a.data(), b.data(), whole.data(), rows, n);
+  ASSERT_EQ(split.c.size(), whole.size());
+  for (std::size_t i = 0; i < whole.size(); ++i) {
+    ASSERT_EQ(fp::to_bits(split.c[i]), fp::to_bits(whole[i])) << "element " << i;
+  }
 }
 
 TEST(MmHier, InvalidConfigsRejected) {

@@ -248,6 +248,8 @@ TEST(TextTable, RowWidthMismatchThrows) {
   EXPECT_THROW(t.add_row({"only-one"}), ConfigError);
 }
 
+#include <stdexcept>
+
 #include "common/parallel.hpp"
 
 TEST(ParallelFor, CoversRangeExactlyOnce) {
@@ -275,6 +277,29 @@ TEST(ParallelFor, DeterministicResults) {
     return v;
   };
   EXPECT_EQ(run(1), run(8));
+}
+
+TEST(ParallelFor, RethrowsOnTheCallerAfterEveryOtherChunkFinished) {
+  // 4 workers over 64 indices: chunks of 16. Index 20 ends chunk 1 early;
+  // chunks 0, 2 and 3 must have finished by the time the caller sees the
+  // throw. Inline (1 worker), the loop simply stops at 20.
+  for (const unsigned workers : {1u, 4u}) {
+    std::vector<int> hits(64, 0);
+    try {
+      parallel_for(0, 64, [&](std::size_t i) {
+        if (i == 20) throw std::runtime_error("index 20");
+        hits[i] = 1;
+      }, workers);
+      ADD_FAILURE() << "no exception with " << workers << " workers";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 20");
+    }
+    for (std::size_t i = 0; i < 64; ++i) {
+      const bool ran = i < 20 || (workers > 1 && i >= 32);
+      EXPECT_EQ(hits[i], ran ? 1 : 0) << "index " << i << ", " << workers
+                                      << " workers";
+    }
+  }
 }
 
 // ---- work-stealing pool and its environment knob ---------------------------

@@ -48,6 +48,16 @@ TEST(Conformance, NativePassesOnThisHost) {
   // Hard-case vector plus the randomized cross-check actually ran.
   EXPECT_GT(rep.cases, 4096u);
   EXPECT_TRUE(rep.first_failure.empty());
+  // So does every gemm_rows build this host can run, chosen or not.
+  const auto variants = fp::native_gemm_rows_variants();
+  ASSERT_FALSE(variants.empty());
+  EXPECT_EQ(variants.front().gemm_rows, fp::native_backend().gemm_rows);
+  for (const auto& v : variants) {
+    Backend be = fp::native_backend();
+    be.gemm_rows = v.gemm_rows;
+    const auto vrep = fp::run_conformance(be);
+    EXPECT_TRUE(vrep.passed) << v.isa << ": " << vrep.first_failure;
+  }
 }
 
 TEST(Conformance, SoftBackendTriviallyConforms) {
@@ -419,19 +429,22 @@ std::vector<u64> scalar_gemm(const std::vector<double>& a,
   return c;
 }
 
-/// Runs both backends' kernels on one panel and checks each element against
-/// scalar_gemm bit for bit; returns the reference bits.
+/// Runs the soft kernel and every native build this host can run on one
+/// panel and checks each element against scalar_gemm bit for bit; returns
+/// the reference bits.
 std::vector<u64> expect_gemm_rows_exact(const std::vector<double>& a,
                                         const std::vector<double>& b,
                                         std::size_t rows, std::size_t n,
                                         const std::string& what) {
   const std::vector<u64> want = scalar_gemm(a, b, rows, n);
-  for (const Backend* be : {&fp::soft_backend(), &fp::native_backend()}) {
+  std::vector<fp::GemmRowsVariant> kernels = fp::native_gemm_rows_variants();
+  kernels.push_back({"soft", fp::soft_backend().gemm_rows});
+  for (const auto& k : kernels) {
     std::vector<double> c(rows * n, 1.0);  // the kernel must not read C
-    be->gemm_rows(a.data(), b.data(), c.data(), rows, n);
+    k.gemm_rows(a.data(), b.data(), c.data(), rows, n);
     for (std::size_t i = 0; i < c.size(); ++i) {
       EXPECT_EQ(fp::to_bits(c[i]), want[i])
-          << fp::backend_name(be->kind) << " " << what << ", element " << i;
+          << k.isa << " " << what << ", element " << i;
     }
   }
   return want;
@@ -444,23 +457,30 @@ TEST(GemmRows, MatchesTheScalarChainOnExtremePanels) {
   // subnormals, 1e+-300, DBL_MIN, inf, NaN), so most outputs at larger n go
   // non-finite and take the recompute path. Odd trials salt uniform
   // operands with 1-in-16 Extreme values, so finite and non-finite outputs
-  // sit side by side in one row.
-  Rng rng(2027);
+  // sit side by side in one row. The native kernel tiles C 4 rows x 8
+  // columns: rows {4, 8, 13} x n {8, 96} add whole tiles, tail rows and
+  // tail columns.
+  std::vector<std::pair<std::size_t, std::size_t>> panels;  // (n, rows)
   for (std::size_t n : {1u, 2u, 3u, 17u, 64u}) {
-    for (std::size_t rows : {1u, 5u}) {
-      for (int trial = 0; trial < 8; ++trial) {
-        auto draw = [&] {
-          if (trial % 2 == 0 || rng.uniform_int(0, 15) == 0) {
-            return xd::testing::draw_value(rng, xd::testing::ValueMode::Extreme);
-          }
-          return rng.uniform(-1.0, 1.0);
-        };
-        std::vector<double> a(rows * n), b(n * n);
-        for (auto& v : a) v = draw();
-        for (auto& v : b) v = draw();
-        expect_gemm_rows_exact(a, b, rows, n,
-                               cat("n=", n, " rows=", rows, " trial ", trial));
-      }
+    for (std::size_t rows : {1u, 5u}) panels.emplace_back(n, rows);
+  }
+  for (std::size_t n : {8u, 96u}) {
+    for (std::size_t rows : {4u, 8u, 13u}) panels.emplace_back(n, rows);
+  }
+  Rng rng(2027);
+  for (const auto& [n, rows] : panels) {
+    for (int trial = 0; trial < 8; ++trial) {
+      auto draw = [&] {
+        if (trial % 2 == 0 || rng.uniform_int(0, 15) == 0) {
+          return xd::testing::draw_value(rng, xd::testing::ValueMode::Extreme);
+        }
+        return rng.uniform(-1.0, 1.0);
+      };
+      std::vector<double> a(rows * n), b(n * n);
+      for (auto& v : a) v = draw();
+      for (auto& v : b) v = draw();
+      expect_gemm_rows_exact(a, b, rows, n,
+                             cat("n=", n, " rows=", rows, " trial ", trial));
     }
   }
 }

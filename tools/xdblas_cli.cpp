@@ -481,8 +481,10 @@ int run_tune(const Args& args) {
   key.batch = static_cast<std::size_t>(args.integer("batch", 0));
   key.placement = args.flag("from-dram") ? host::Placement::Dram
                                          : host::Placement::Sram;
-  key.arch = args.str("arch", "tree") == "col" ? host::GemvArch::Column
-                                               : host::GemvArch::Tree;
+  if (!host::gemv_arch_from_name(args.str("arch", "tree"), key.arch)) {
+    throw UsageError(cat("--arch expects tree or col, got '",
+                         args.str("arch", "tree"), "'"));
+  }
   if (!host::tune_policy_from_name(args.str("policy", "model"), key.tune) ||
       key.tune == host::TunePolicy::Fixed) {
     throw UsageError(cat("--policy expects 'model' or 'probe', got '",
