@@ -1,8 +1,10 @@
 #include "host/runtime.hpp"
 
 #include <chrono>
+#include <exception>
 
 #include "blas2/blocking.hpp"
+#include "common/parallel.hpp"
 #include "telemetry/session.hpp"
 
 namespace xd::host {
@@ -600,6 +602,31 @@ std::vector<Outcome> Runtime::run_batch(const std::vector<OpDesc>& descs) {
     }
   }
   if (first_error) std::rethrow_exception(first_error);
+  return outs;
+}
+
+std::vector<Outcome> Runtime::run_parallel(const std::vector<OpDesc>& descs) {
+  const std::size_t n = descs.size();
+  submitted_.fetch_add(n, std::memory_order_relaxed);
+  queued_.fetch_add(n, std::memory_order_relaxed);
+  const Ticket group = ticket(n);  // op ids group.op_id .. + n - 1
+  std::vector<Outcome> outs(n);
+  std::vector<std::exception_ptr> errs(n);
+  parallel_for(
+      0, n,
+      [&](std::size_t i) {
+        Ticket op = group;
+        op.op_id += i;
+        try {
+          outs[i] = run_op(descs[i], nullptr, op, /*pooled=*/true);
+        } catch (...) {
+          errs[i] = std::current_exception();
+        }
+      },
+      static_cast<unsigned>(n), *pool_);
+  for (const std::exception_ptr& e : errs) {
+    if (e) std::rethrow_exception(e);
+  }
   return outs;
 }
 

@@ -11,7 +11,8 @@
 //   Outcome out = fut.get();                          // value or exception
 //
 // run() and run_graph() execute on the calling thread; submit(),
-// run_batch() and submit_graph() on the worker pool. Engine simulations are
+// run_batch() and submit_graph() on the worker pool; run_parallel() on the
+// pool and the calling thread together. Engine simulations are
 // deterministic and self-contained, so N concurrent submits produce
 // bit-identical values and cycle counts to N sequential runs —
 // tests/test_runtime.cpp holds this invariant.
@@ -27,7 +28,7 @@
 //     synchronous op records straight into the session under its lock, on
 //     lane 0 with dequeue == submit. A pooled op records into its worker's
 //     thread-local shard session, which merges under the lock on lane
-//     worker-id + 1.
+//     worker-id + 1 (lane 0 for a run_parallel() op the caller claimed).
 //   - At the end, under the session lock, a completed op's queue-wait /
 //     exec / end-to-end latencies feed the host.runtime.* histograms. Every
 //     op, failed or not, republishes the host.runtime.* and host.plan.*
@@ -115,6 +116,16 @@ class Runtime {
   /// op keeps its own Outcome, trace context and flight-recorder entry).
   std::vector<Outcome> run_batch(const std::vector<OpDesc>& descs);
 
+  /// Execute every descriptor concurrently, the calling thread claiming ops
+  /// alongside this runtime's pool workers (parallel_for, one op per
+  /// index): no op waits for a worker to wake, a single op runs on the
+  /// caller, and the call finishes even with every worker busy. Each op is
+  /// a pooled op for stats() and telemetry, recorded into the shard of the
+  /// thread that runs it (lane 0 on the caller). Throws the lowest-index
+  /// failure once every op has settled. Must not be called from inside an
+  /// op (its thread's shard would be in use).
+  std::vector<Outcome> run_parallel(const std::vector<OpDesc>& descs);
+
   /// Execute an op DAG on the calling thread: plan the chain partition
   /// (cached by graph signature), then run the nodes in topological order
   /// with producer results forwarded into edge-fed operand slots and the
@@ -171,7 +182,8 @@ class Runtime {
   Ticket ticket(u64 ops = 1) const;
   /// The op lifecycle described at the top of this file, around
   /// `body(session, tc)` (execute or execute_graph). `pooled` marks the
-  /// worker side of submit, run_batch and submit_graph.
+  /// worker side of submit, run_batch and submit_graph, and every
+  /// run_parallel op.
   template <typename Body>
   auto tracked(const char* kind, const Ticket& t, bool pooled, Body&& body);
   Outcome run_op(const OpDesc& desc, const Plan* pinned, const Ticket& t,

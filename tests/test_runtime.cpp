@@ -974,7 +974,7 @@ TEST(Replay, ConcurrentSubmitsSplitWarmGemvReplaysOnThePool) {
 
 namespace {
 
-enum class Entry { Run, Submit, RunBatch, RunGraph, SubmitGraph };
+enum class Entry { Run, Submit, RunBatch, RunParallel, RunGraph, SubmitGraph };
 
 struct LifecycleCase {
   const char* name;
@@ -987,8 +987,11 @@ void PrintTo(const LifecycleCase& c, std::ostream* os) { *os << c.name; }
 
 bool is_graph(Entry e) { return e == Entry::RunGraph || e == Entry::SubmitGraph; }
 bool is_pooled(Entry e) {
-  return e == Entry::Submit || e == Entry::RunBatch || e == Entry::SubmitGraph;
+  return e == Entry::Submit || e == Entry::RunBatch ||
+         e == Entry::RunParallel || e == Entry::SubmitGraph;
 }
+/// run_parallel's caller claims ops too: a single op runs on the caller.
+bool on_caller(Entry e) { return !is_pooled(e) || e == Entry::RunParallel; }
 
 /// A 32x32 GEMV, the same GEMV with a too-short x, a GEMV -> dot chain and
 /// a graph whose dot lacks an operand (both failures are ConfigErrors raised
@@ -1024,6 +1027,8 @@ u64 drive(Runtime& rt, const LifecycleCase& c, const LifecycleOps& ops) {
     case Entry::Run: return rt.run(op).report.cycles;
     case Entry::Submit: return rt.submit(op).get().report.cycles;
     case Entry::RunBatch: return rt.run_batch({op}).at(0).report.cycles;
+    case Entry::RunParallel:
+      return rt.run_parallel({op}).at(0).report.cycles;
     case Entry::RunGraph: return rt.run_graph(g).report.cycles;
     case Entry::SubmitGraph: return rt.submit_graph(g).get().report.cycles;
   }
@@ -1074,16 +1079,17 @@ TEST_P(OpLifecycle, StatsFlightRecordSpansAndGauges) {
   }
 
   // One flight record per op, on the caller's lane for the synchronous
-  // entry points and on worker-id + 1 for the pooled ones.
+  // entry points and run_parallel (whose caller runs a single op) and on
+  // worker-id + 1 for the other pooled ones.
   ASSERT_EQ(tel.flight().total(), 1u);
   EXPECT_EQ(tel.flight().errors(), c.good ? 0u : 1u);
   const telemetry::TraceContext tc = tel.flight().snapshot().at(0);
   EXPECT_STREQ(tc.kind, is_graph(c.entry) ? "graph" : "gemv");
-  if (pooled) {
+  if (on_caller(c.entry)) {
+    EXPECT_EQ(tc.lane, 0u);
+  } else {
     EXPECT_GE(tc.lane, 1u);
     EXPECT_LE(tc.lane, pool.size());
-  } else {
-    EXPECT_EQ(tc.lane, 0u);
   }
 
   // Stamp order: submit <= dequeue (equal when synchronous) <= plan <= exec
@@ -1145,6 +1151,14 @@ INSTANTIATE_TEST_SUITE_P(
         LifecycleCase{"run_batch_failing_attached", Entry::RunBatch, false, true},
         LifecycleCase{"run_batch_failing_detached", Entry::RunBatch, false,
                       false},
+        LifecycleCase{"run_parallel_good_attached", Entry::RunParallel, true,
+                      true},
+        LifecycleCase{"run_parallel_good_detached", Entry::RunParallel, true,
+                      false},
+        LifecycleCase{"run_parallel_failing_attached", Entry::RunParallel,
+                      false, true},
+        LifecycleCase{"run_parallel_failing_detached", Entry::RunParallel,
+                      false, false},
         LifecycleCase{"run_graph_good_attached", Entry::RunGraph, true, true},
         LifecycleCase{"run_graph_good_detached", Entry::RunGraph, true, false},
         LifecycleCase{"run_graph_failing_attached", Entry::RunGraph, false, true},
@@ -1170,7 +1184,8 @@ TEST(OpLifecycle, FailuresPublishTheRuntimeGauges) {
   ContextConfig cfg;
   cfg.telemetry = &tel;
   Runtime rt(cfg);
-  const Entry entries[] = {Entry::Run, Entry::Submit, Entry::RunBatch,
+  const Entry entries[] = {Entry::Run,      Entry::Submit,
+                           Entry::RunBatch, Entry::RunParallel,
                            Entry::RunGraph, Entry::SubmitGraph};
 
   rt.run(OpDesc::gemv(ops.a, LifecycleOps::kN, LifecycleOps::kN, ops.x));
@@ -1180,10 +1195,10 @@ TEST(OpLifecycle, FailuresPublishTheRuntimeGauges) {
     EXPECT_THROW(drive(rt, c, ops), ConfigError);
     EXPECT_EQ(gauge(tel, "host.runtime.failed"), ++failed);
   }
-  EXPECT_EQ(rt.stats().failed, 5u);
-  EXPECT_EQ(tel.flight().errors(), 5u);
+  EXPECT_EQ(rt.stats().failed, 6u);
+  EXPECT_EQ(tel.flight().errors(), 6u);
   EXPECT_EQ(gauge(tel, "host.runtime.completed"), 1.0);
-  EXPECT_EQ(gauge(tel, "host.runtime.submitted"), 3.0);
+  EXPECT_EQ(gauge(tel, "host.runtime.submitted"), 4.0);
   EXPECT_EQ(gauge(tel, "host.runtime.in_flight"), 0.0);
   EXPECT_EQ(gauge(tel, "host.runtime.queue_depth"), 0.0);
 }
